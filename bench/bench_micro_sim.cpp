@@ -101,8 +101,11 @@ BENCHMARK(BM_CacheArrayHit);
 void
 BM_CoherenceTransaction(benchmark::State &state)
 {
-    // One full L2-miss round trip (request, snoop, fill) through
-    // the 16-node memory system.
+    // L2-miss round trips (request, snoop, fill) through the 16-node
+    // snooping memory system: k = state.range(0) nodes read a fresh
+    // block, then node 0 writes it — k GetS plus one GetM that
+    // invalidates k sharers. k = 0 is a lone cold write miss.
+    const auto sharers = static_cast<std::size_t>(state.range(0));
     sim::EventQueue eq;
     mem::MemConfig cfg;
     mem::MemSystem ms("mem", eq, cfg);
@@ -110,17 +113,23 @@ BM_CoherenceTransaction(benchmark::State &state)
     {
         void memResponse(std::uint64_t) override {}
     } sink;
-    ms.dcache(0).setClient(&sink);
+    for (std::size_t n = 0; n <= sharers; ++n)
+        ms.dcache(n).setClient(&sink);
     sim::Addr a = 0x1000'0000;
     std::uint64_t tag = 0;
     for (auto _ : state) {
-        ms.dcache(0).access({a, false, false, ++tag});
+        for (std::size_t n = 1; n <= sharers; ++n) {
+            ms.dcache(n).access({a, false, false, ++tag});
+            eq.run();
+        }
+        ms.dcache(0).access({a, true, false, ++tag});
         eq.run();
         a += 64; // always a fresh block: every access is a miss
     }
-    state.SetItemsProcessed(state.iterations());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(sharers + 1));
 }
-BENCHMARK(BM_CoherenceTransaction);
+BENCHMARK(BM_CoherenceTransaction)->Arg(0)->Arg(3)->Arg(15);
 
 void
 BM_StudentTQuantile(benchmark::State &state)

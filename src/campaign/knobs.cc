@@ -1,6 +1,7 @@
 #include "campaign/knobs.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 #include "sim/logging.hh"
@@ -56,6 +57,22 @@ workloadFromName(const std::string &name,
 } // anonymous namespace
 
 bool
+parseNodeCount(const std::string &value, std::size_t &out)
+{
+    if (value.empty() ||
+        !std::isdigit(static_cast<unsigned char>(value[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v =
+        std::strtoull(value.c_str(), &end, 10);
+    if (errno != 0 || *end != '\0' || v < 1 || v > mem::maxNodes)
+        return false;
+    out = v;
+    return true;
+}
+
+bool
 applyKnob(core::SystemConfig &sys, const std::string &knob,
           const std::string &value, std::string *err)
 {
@@ -63,7 +80,10 @@ applyKnob(core::SystemConfig &sys, const std::string &knob,
         return std::strtoull(value.c_str(), nullptr, 10);
     };
     if (knob == "cpus") {
-        sys.mem.numNodes = n();
+        if (!parseNodeCount(value, sys.mem.numNodes))
+            return fail(err, "cpus wants a node count in 1.." +
+                                 std::to_string(mem::maxNodes) +
+                                 ", got '" + value + "'");
     } else if (knob == "l2-assoc") {
         sys.mem.l2Assoc = n();
     } else if (knob == "l2-size") {

@@ -31,6 +31,13 @@ namespace campaign
 {
 
 /**
+ * Strictly parse a node count: decimal digits only, no sign, no
+ * surrounding or trailing characters, value in 1..mem::maxNodes.
+ * Returns false (leaving @p out alone) otherwise.
+ */
+bool parseNodeCount(const std::string &value, std::size_t &out);
+
+/**
  * Apply one configuration knob ("l2-assoc", "model", ...) to @p sys.
  * Returns false and sets @p err on an unknown knob or a bad value.
  * The knob set is the `--vary` vocabulary; "cpus" is additionally

@@ -2,20 +2,22 @@
  * @file
  * Open-addressing hash map keyed by block address.
  *
- * The directory consults its sharer/owner table once per coherence
- * transition — detailed and functional-warming alike — so lookup cost
- * is on the critical path of both engines. std::unordered_map pays a
- * heap-allocated node and a pointer chase per probe; this flat table
- * with linear probing resolves the common hit in a single cache line.
+ * The directory consults its sharer/owner table, and the snooping bus
+ * its holder filter, once per coherence transition — detailed and
+ * functional-warming alike — so lookup cost is on the critical path of
+ * both engines. std::unordered_map pays a heap-allocated node and a
+ * pointer chase per probe; this flat table with linear probing
+ * resolves the common hit in a single cache line.
  *
  * Deliberately minimal: insert-or-default, const find, clear. No
- * erase — directory entries persist until the table is rebuilt from
- * cache tags (checkpoint restore), which uses clear().
+ * erase — entries persist until the table is rebuilt from cache tags
+ * (checkpoint restore), which uses clear().
  */
 
 #ifndef VARSIM_MEM_ADDR_MAP_HH
 #define VARSIM_MEM_ADDR_MAP_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -84,9 +86,12 @@ class AddrMap
     probe(std::vector<Slot> &table, sim::Addr key)
     {
         const std::size_t mask = table.size() - 1;
-        // Fibonacci hashing spreads the low-entropy aligned keys.
-        std::size_t i =
-            (key * 0x9e3779b97f4a7c15ull >> 32) & mask;
+        // Fibonacci hashing spreads the low-entropy aligned keys. The
+        // index is the product's top log2(size) bits: its middle bits
+        // clustered a 16-node run's keys into probe runs ~30x longer.
+        const auto shift = 64 - std::countr_zero(table.size());
+        std::size_t i = static_cast<std::size_t>(
+            (key * 0x9e3779b97f4a7c15ull) >> shift);
         while (table[i].key != kEmpty && table[i].key != key)
             i = (i + 1) & mask;
         return table[i];

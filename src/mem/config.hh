@@ -34,12 +34,16 @@ enum class CoherenceProtocol : std::uint8_t
     Directory,
 };
 
+/** Most nodes a memory system may have: the bus's holder filter and
+ *  the directory's sharer sets keep one bit per node in 64 bits. */
+constexpr std::size_t maxNodes = 64;
+
 struct MemConfig
 {
     /** Coherence protocol (see CoherenceProtocol). */
     CoherenceProtocol protocol = CoherenceProtocol::Snooping;
 
-    /** Number of processor/cache/memory nodes. */
+    /** Number of processor/cache/memory nodes (1..maxNodes). */
     std::size_t numNodes = 16;
 
     /** Cache line size in bytes (all levels). */

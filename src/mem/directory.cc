@@ -72,20 +72,28 @@ DirectoryFabric::process(BusMsg msg)
     const auto srcBit = std::uint64_t{1}
                         << static_cast<unsigned>(msg.srcNode);
 
+    auto src = static_cast<std::size_t>(msg.srcNode);
+    VARSIM_ASSERT(src < nodes.size(),
+                  "directory request from unknown node %d",
+                  msg.srcNode);
+
     if (msg.cmd == BusCmd::PutM) {
         // Writeback: ownership returns to memory; remaining sharers
         // (MOSI allows sharers under an O owner) keep their copies.
         ++stats_.writebacks;
+        // A writeback is stale when the same node's own request for
+        // the block was granted after it evicted its O copy (an
+        // upgrade GetM in flight at the eviction): the fill makes it
+        // the owner again — already (it holds the block now) or soon
+        // (the fill is in flight). Clearing it would lose that copy.
+        if (isValidState(nodes[src]->snoopState(msg.blockAddr)) ||
+            (busy.contains(msg.blockAddr) && e.grantee == msg.srcNode))
+            return;
         if (e.owner == msg.srcNode)
             e.owner = -1;
         e.sharers &= ~srcBit;
         return;
     }
-
-    auto src = static_cast<std::size_t>(msg.srcNode);
-    VARSIM_ASSERT(src < nodes.size(),
-                  "directory request from unknown node %d",
-                  msg.srcNode);
 
     if (busy.contains(msg.blockAddr)) {
         ++stats_.nacks;
@@ -167,6 +175,7 @@ DirectoryFabric::process(BusMsg msg)
     }
     dataDelay += pert;
 
+    e.grantee = msg.srcNode;
     busy.insert(msg.blockAddr);
     L2Controller *requestor = nodes[src];
     const sim::Addr block = msg.blockAddr;

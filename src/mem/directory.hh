@@ -80,6 +80,9 @@ class DirectoryFabric : public sim::SimObject,
     struct Entry
     {
         int owner = -1;           ///< caching owner, -1 = memory
+        /** Requestor of the last granted GetS/GetM; meaningful only
+         *  while the block is busy (its fill is in flight). */
+        int grantee = -1;
         std::uint64_t sharers = 0;///< bitmask of nodes with copies
     };
 

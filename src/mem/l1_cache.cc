@@ -209,6 +209,18 @@ L1Cache::backProbe(sim::Addr block_addr, bool invalidate)
 }
 
 void
+L1Cache::restoreInclusion()
+{
+    std::vector<sim::Addr> orphans;
+    array.forEachValid([&](const CacheLine &line) {
+        if (!isValidState(l2.snoopState(line.blockAddr)))
+            orphans.push_back(line.blockAddr);
+    });
+    for (const sim::Addr block : orphans)
+        backProbe(block, true);
+}
+
+void
 L1Cache::drain()
 {
     VARSIM_ASSERT(mshr.empty(),

@@ -88,6 +88,15 @@ class L1Cache : public sim::SimObject
     void backProbe(sim::Addr block_addr, bool invalidate);
 
     /**
+     * Restore: drop every line whose block the L2 no longer holds.
+     * An image taken under another L2 geometry restores the L2 cold
+     * while this cache keeps its tags; without this, those lines
+     * would hit forever, since no back-probe can ever reach them.
+     * A no-op on an inclusive (same-geometry) image.
+     */
+    void restoreInclusion();
+
+    /**
      * Functional warming (sampling fast mode): complete the access
      * synchronously — tag probe, miss handling through
      * L2Controller::warmRequest(), functional L1 fill — with the

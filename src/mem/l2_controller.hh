@@ -73,8 +73,10 @@ class L2Controller : public sim::SimObject
      * Bus fast path: report this node's pre-transition stable state
      * for @p msg's block and, when @p remote, apply the snoop
      * transitions of handleRemoteSnoop() — all in a single tag walk
-     * (the broadcast bus otherwise probes every node's tags twice
-     * per ordered request: once to locate the owner, once to apply).
+     * (locating the owner and applying the transitions would
+     * otherwise probe the tags twice). The bus calls it only on the
+     * nodes its holder filter names; on any other node it would find
+     * no valid line, return Invalid and change nothing.
      */
     LineState snoopAndHandle(const BusMsg &msg, bool remote);
 

@@ -14,6 +14,10 @@ MemSystem::MemSystem(std::string name, sim::EventQueue &eq,
     : SimObject(std::move(name), eq), cfg(config), pertRng(0)
 {
     VARSIM_ASSERT(cfg.numNodes >= 1, "need at least one node");
+    VARSIM_ASSERT(cfg.numNodes <= maxNodes,
+                  "node bitmasks (bus holders, directory sharers) "
+                  "hold %zu nodes",
+                  maxNodes);
     VARSIM_ASSERT(l1_queues == nullptr ||
                       l1_queues->size() == cfg.numNodes,
                   "need one L1 domain queue per node");
@@ -22,8 +26,6 @@ MemSystem::MemSystem(std::string name, sim::EventQueue &eq,
                                           cfg, pertRng);
         fabric_ = bus_.get();
     } else {
-        VARSIM_ASSERT(cfg.numNodes <= 64,
-                      "directory sharer bitmask holds 64 nodes");
         dir_ = std::make_unique<DirectoryFabric>(
             this->name() + ".dir", eq, cfg, pertRng);
         fabric_ = dir_.get();
@@ -162,6 +164,10 @@ MemSystem::unserialize(sim::CheckpointIn &cp)
         c->unserialize(cp);
     for (const auto &c : dcaches)
         c->unserialize(cp);
+    for (std::size_t n = 0; n < cfg.numNodes; ++n) {
+        icaches[n]->restoreInclusion();
+        dcaches[n]->restoreInclusion();
+    }
     fabric_->postRestore();
 }
 

@@ -1,6 +1,7 @@
 #include "mem/snoop_bus.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "mem/l2_controller.hh"
 #include "sim/trace.hh"
@@ -20,6 +21,13 @@ void
 SnoopBus::addNode(L2Controller *l2)
 {
     nodes.push_back(l2);
+}
+
+std::uint64_t
+SnoopBus::holdersOf(sim::Addr block_addr) const
+{
+    const std::uint64_t *mask = holders.find(block_addr);
+    return mask != nullptr ? *mask : 0;
 }
 
 void
@@ -65,24 +73,7 @@ SnoopBus::snoop(BusMsg msg)
         return;
     }
 
-    // One tag walk per node: record the pre-transition owner (at
-    // most one node holds the block in M or O — a protocol
-    // invariant) and apply the order-point transitions on every
-    // non-source node. Transitions only mutate the snooped node's
-    // own state, so read-then-transition per node is equivalent to
-    // the read-all-then-transition-all sequence.
-    int ownerNode = -1;
-    for (std::size_t n = 0; n < nodes.size(); ++n) {
-        const LineState s =
-            nodes[n]->snoopAndHandle(msg, n != src);
-        if (isOwnerState(s)) {
-            VARSIM_ASSERT(ownerNode == -1,
-                          "two owners for block %#llx",
-                          static_cast<unsigned long long>(
-                              msg.blockAddr));
-            ownerNode = static_cast<int>(n);
-        }
-    }
+    const int ownerNode = snoopHolders(msg, false);
 
     ++stats_.l2Misses;
     const bool writable = msg.cmd == BusCmd::GetM;
@@ -126,6 +117,43 @@ SnoopBus::snoop(BusMsg msg)
                        cfg.netTraversal});
 }
 
+int
+SnoopBus::snoopHolders(const BusMsg &msg, bool warm)
+{
+    // Only nodes in the holder mask can hold a valid copy; every
+    // other node's tag walk would find nothing and change nothing.
+    // The grant updates the mask before the walk: a GetS adds the
+    // requestor; a GetM resets it to the requestor alone, because
+    // every remote copy is invalidated right here.
+    const auto src = static_cast<std::size_t>(msg.srcNode);
+    std::uint64_t &mask = holders[msg.blockAddr];
+    const std::uint64_t walk = mask;
+    const std::uint64_t srcBit = std::uint64_t{1} << src;
+    mask = msg.cmd == BusCmd::GetM ? srcBit : walk | srcBit;
+
+    // One tag walk per candidate, in ascending node id: record the
+    // pre-transition owner (at most one node holds the block in M or
+    // O — a protocol invariant) and apply the order-point transitions
+    // on every non-source node. Transitions only mutate the snooped
+    // node's own state, so read-then-transition per node is
+    // equivalent to the read-all-then-transition-all sequence.
+    int ownerNode = -1;
+    for (std::uint64_t m = walk; m != 0; m &= m - 1) {
+        const auto n = static_cast<std::size_t>(std::countr_zero(m));
+        const LineState s =
+            warm ? nodes[n]->warmSnoop(msg, n != src)
+                 : nodes[n]->snoopAndHandle(msg, n != src);
+        if (isOwnerState(s)) {
+            VARSIM_ASSERT(ownerNode == -1,
+                          "two owners for block %#llx",
+                          static_cast<unsigned long long>(
+                              msg.blockAddr));
+            ownerNode = static_cast<int>(n);
+        }
+    }
+    return ownerNode;
+}
+
 bool
 SnoopBus::warmTransition(int src, sim::Addr block, bool writable)
 {
@@ -137,23 +165,13 @@ SnoopBus::warmTransition(int src, sim::Addr block, bool writable)
     VARSIM_ASSERT(srcIdx < nodes.size(),
                   "warm transition from unknown node %d", src);
 
-    // Same single tag walk as snoop(), minus ordering, occupancy,
-    // NACKs and the perturbation draw: fast-mode misses keep the
-    // MOSI states exact while charging only a fixed latency (the
-    // CPU side does that), so the stable coherence state a later
-    // detailed interval sees is the state a real execution would
-    // have produced.
-    int ownerNode = -1;
-    for (std::size_t n = 0; n < nodes.size(); ++n) {
-        const LineState s =
-            nodes[n]->warmSnoop(msg, n != srcIdx);
-        if (isOwnerState(s)) {
-            VARSIM_ASSERT(ownerNode == -1,
-                          "two owners for block %#llx",
-                          static_cast<unsigned long long>(block));
-            ownerNode = static_cast<int>(n);
-        }
-    }
+    // Same order point as snoop(), minus ordering, occupancy, NACKs
+    // and the perturbation draw: fast-mode misses keep the MOSI
+    // states exact while charging only a fixed latency (the CPU side
+    // does that), so the stable coherence state a later detailed
+    // interval sees is the state a real execution would have
+    // produced.
+    const int ownerNode = snoopHolders(msg, true);
 
     ++stats_.busTransactions;
     ++stats_.l2Misses;
@@ -201,6 +219,20 @@ SnoopBus::unserialize(sim::CheckpointIn &cp)
     cp.get(nextOrderTick);
     cp.get(stats_);
     dram_.unserialize(cp);
+}
+
+void
+SnoopBus::postRestore()
+{
+    // The holder mask is derived from the cache tags and never
+    // checkpointed, so images stay byte-identical and restore into
+    // any L2 geometry (a cold restore leaves it empty).
+    holders.clear();
+    for (std::size_t n = 0; n < nodes.size(); ++n) {
+        nodes[n]->forEachValidLine([&](const CacheLine &line) {
+            holders[line.blockAddr] |= std::uint64_t{1} << n;
+        });
+    }
 }
 
 void

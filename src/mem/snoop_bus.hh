@@ -16,6 +16,11 @@
  * the schedule, which further amplifies injected perturbations into
  * divergent executions — the mechanism at the heart of the paper's
  * space-variability results.
+ *
+ * A broadcast is modelled, but on the host only the nodes that may
+ * hold the block are snooped (the holder filter, see SnoopBus): a
+ * node without a valid copy has no transition to apply and reports
+ * Invalid, so skipping it changes nothing the model can observe.
  */
 
 #ifndef VARSIM_MEM_SNOOP_BUS_HH
@@ -23,6 +28,7 @@
 
 #include <vector>
 
+#include "mem/addr_map.hh"
 #include "mem/addr_set.hh"
 #include "mem/dram.hh"
 #include "mem/fabric.hh"
@@ -39,6 +45,15 @@ class L2Controller;
 
 /**
  * The ordered broadcast address network plus protocol engine.
+ *
+ * Every ordered GetS/GetM is, in the model, snooped by every node.
+ * On the host, snoop() and warmTransition() walk only the nodes set
+ * in the block's holder mask (holdersOf), in ascending node id — the
+ * order a walk over every node would visit them in — so back-probes
+ * and router sends fire in the same order and with the same sequence
+ * numbers. The mask is host-side bookkeeping, not a modelled snoop
+ * filter: it costs no time, adds no statistic and is never
+ * checkpointed (postRestore rebuilds it from the cache tags).
  */
 class SnoopBus : public sim::SimObject, public CoherenceFabric
 {
@@ -70,6 +85,12 @@ class SnoopBus : public sim::SimObject, public CoherenceFabric
         return busy.contains(block_addr);
     }
 
+    /**
+     * Holder-filter introspection (tests): a superset of the nodes
+     * holding a valid L2 copy of @p block_addr, one bit per node id.
+     */
+    std::uint64_t holdersOf(sim::Addr block_addr) const;
+
     bool warmTransition(int src, sim::Addr block,
                         bool writable) override;
     void warmEvict(int src, sim::Addr block) override;
@@ -77,15 +98,30 @@ class SnoopBus : public sim::SimObject, public CoherenceFabric
     void drain() override;
     void serialize(sim::CheckpointOut &cp) const override;
     void unserialize(sim::CheckpointIn &cp) override;
+    void postRestore() override;
     void regStats(sim::statistics::Registry &r) override;
 
   private:
     void snoop(BusMsg msg);
 
+    /**
+     * The order point of a granted GetS/GetM: update the holder mask
+     * and apply the snoop transitions on every node it names (timed
+     * snoopAndHandle, or warmSnoop when @p warm). Returns the
+     * pre-transition owner node, or -1 when memory owns the block.
+     */
+    int snoopHolders(const BusMsg &msg, bool warm);
+
     const MemConfig &cfg;
     sim::Random &pertRng;
     DramModel dram_;
     std::vector<L2Controller *> nodes;
+    /**
+     * Holder filter. Invariant: if node n holds a valid L2 copy of
+     * block b, bit n of holders[b] is set. Stale bits (silent or
+     * dirty evictions) are allowed; their tag walk finds nothing.
+     */
+    AddrMap<std::uint64_t> holders;
     AddrSet busy;
     sim::Tick nextOrderTick = 0;
     MemStats stats_;

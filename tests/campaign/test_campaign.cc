@@ -2,8 +2,9 @@
  * @file
  * End-to-end campaign-engine tests: the kill-and-resume contract
  * (bit-identical statistics), shard partitioning, idempotent reruns,
- * adaptive stopping below the fixed-K baseline, and checkpointed
- * campaigns resuming onto identical warmed state.
+ * adaptive stopping below the fixed-K baseline, checkpointed
+ * campaigns resuming onto identical warmed state, and the knob
+ * parser every front end shares.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <filesystem>
 
 #include "campaign/campaign.hh"
+#include "campaign/knobs.hh"
 #include "core/varsim.hh"
 
 namespace
@@ -253,6 +255,38 @@ TEST(Campaign, StatusReflectsTheStore)
     ASSERT_EQ(st.groupNames.size(), 2u);
     EXPECT_EQ(st.groupNames[0], "assoc-lo");
     EXPECT_NE(st.header.fingerprint, 0u);
+}
+
+TEST(CampaignKnobs, CpusAcceptsOnlyOneToSixtyFour)
+{
+    for (const char *good : {"1", "16", "64"}) {
+        core::SystemConfig sys;
+        std::string err;
+        EXPECT_TRUE(campaign::applyKnob(sys, "cpus", good, &err))
+            << good << ": " << err;
+        EXPECT_EQ(sys.mem.numNodes, std::stoull(good));
+    }
+    // Out of range, junk, empty, signed, trailing characters and a
+    // value that overflows strtoull: all refused with a message that
+    // names the knob, and the configuration is left untouched.
+    for (const char *bad : {"0", "65", "abc", "", "-1", "+4", " 4",
+                            "4x", "4 ", "99999999999999999999999"}) {
+        core::SystemConfig sys;
+        const std::size_t before = sys.mem.numNodes;
+        std::string err;
+        EXPECT_FALSE(campaign::applyKnob(sys, "cpus", bad, &err))
+            << "'" << bad << "' accepted";
+        EXPECT_NE(err.find("cpus"), std::string::npos) << err;
+        EXPECT_EQ(sys.mem.numNodes, before);
+    }
+
+    // The same check guards a whole submission.
+    campaign::SpecFields f;
+    f.base["cpus"] = "0";
+    campaign::CampaignSpec spec;
+    std::string err;
+    EXPECT_FALSE(campaign::buildSpec(f, spec, &err));
+    EXPECT_NE(err.find("cpus"), std::string::npos) << err;
 }
 
 TEST(CampaignDeathTest, ResumeUnderDifferentSpecIsFatal)

@@ -12,7 +12,17 @@
  *  I3  every issued access eventually receives exactly one response;
  *  I4  only nodes that have actually written a block may hold it in
  *      M (write permission is granted exclusively through GetM);
- *  I5  the memory system drains to zero pending transactions.
+ *  I5  the memory system drains to zero pending transactions;
+ *  I6  every node holding a valid L2 copy is named by the fabric's
+ *      node mask for the block — the snooping bus's holder filter
+ *      (which decides whom a snoop visits) or the directory's sharer
+ *      set — and a node holding it in M/O is the directory's owner.
+ *
+ * Between quiesce points the tester also interleaves bursts of
+ * functional-warming accesses (L1Cache::warmAccess, the sampling fast
+ * mode's path through warmRequest/warmTransition), re-checking every
+ * invariant after each burst, so the timed and the warm protocol
+ * paths hand the same blocks back and forth.
  */
 
 #include <gtest/gtest.h>
@@ -98,6 +108,33 @@ struct RandomTester
             eq.run(eq.curTick() + rng.uniformInt(1, 300));
     }
 
+    /** Quiesce, then issue @p n random functional-warming accesses. */
+    void
+    warmBurst(int n)
+    {
+        eq.run(); // warm accesses need a quiescent memory system
+        for (int i = 0; i < n; ++i) {
+            const std::size_t node =
+                rng.uniformInt(0, clients.size() - 1);
+            const sim::Addr addr =
+                hotBlocks[static_cast<std::size_t>(
+                    rng.uniformInt(0, hotBlocks.size() - 1))];
+            const bool write = rng.bernoulli(0.45);
+            ms->dcache(node).warmAccess(addr, write);
+            if (write)
+                writers[addr].insert(static_cast<int>(node));
+        }
+    }
+
+    /** The fabric's node mask for @p addr (I6). */
+    std::uint64_t
+    fabricMask(sim::Addr addr)
+    {
+        return ms->config().protocol == CoherenceProtocol::Snooping
+                   ? ms->bus().holdersOf(addr)
+                   : ms->directory().sharersOf(addr);
+    }
+
     /** Drain and check all invariants. */
     void
     checkInvariants()
@@ -116,15 +153,20 @@ struct RandomTester
                 << "I3: tag " << tag << " answered twice";
         }
 
-        // I1/I2/I4 per block.
+        // I1/I2/I4/I6 per block.
         for (std::size_t b = 0; b < hotBlocks.size(); ++b) {
             const sim::Addr addr = hotBlocks[b];
+            const std::uint64_t mask = fabricMask(addr);
             int owners = 0, modified = -1, ownerNode = -1;
             int validCopies = 0;
             for (std::size_t n = 0; n < clients.size(); ++n) {
                 const LineState s = ms->l2(n).snoopState(addr);
-                if (isValidState(s))
+                if (isValidState(s)) {
                     ++validCopies;
+                    EXPECT_NE(mask & (std::uint64_t{1} << n), 0u)
+                        << "I6: block " << b << " valid at node " << n
+                        << " outside the fabric mask";
+                }
                 if (isOwnerState(s)) {
                     ++owners;
                     ownerNode = static_cast<int>(n);
@@ -133,6 +175,11 @@ struct RandomTester
                     modified = static_cast<int>(n);
             }
             EXPECT_LE(owners, 1) << "I1: block " << b;
+            if (ownerNode >= 0 && ms->config().protocol ==
+                                      CoherenceProtocol::Directory) {
+                EXPECT_EQ(ms->directory().ownerOf(addr), ownerNode)
+                    << "I6: block " << b << " owner untracked";
+            }
             if (modified >= 0) {
                 EXPECT_EQ(validCopies, 1)
                     << "I2: M with sharers, block " << b;
@@ -142,7 +189,6 @@ struct RandomTester
                 EXPECT_TRUE(writers[addr].count(modified) > 0)
                     << "I4: block " << b << " M at non-writer node";
             }
-            (void)ownerNode;
         }
     }
 
@@ -189,6 +235,10 @@ TEST_P(CoherenceRandomTest, InvariantsHoldUnderRandomTraffic)
         t.checkInvariants();
         if (::testing::Test::HasFatalFailure())
             return;
+        t.warmBurst(20);
+        t.checkInvariants();
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
     // Protocol actually got exercised: races produce NACKs and
     // conflict pressure produces writebacks.
@@ -204,6 +254,10 @@ TEST(CoherenceRandomTest16, ScalesToSixteenNodes)
     for (int round = 0; round < 10; ++round) {
         for (int i = 0; i < 100; ++i)
             t.step();
+        t.checkInvariants();
+        if (::testing::Test::HasFatalFailure())
+            return;
+        t.warmBurst(40);
         t.checkInvariants();
         if (::testing::Test::HasFatalFailure())
             return;

@@ -76,6 +76,45 @@ class DirectoryTest : public ::testing::Test
         return clients[node]->lastResponseTick() - start;
     }
 
+    /**
+     * Node 0 holds X in O and upgrades it @p upgrade_at ticks after
+     * a read of Y2 (same L2 set) went out; Y2's fill evicts the O
+     * copy and sends a PutM while the GetM is granted, which reaches
+     * the home after the grant. That writeback is stale — the
+     * upgrade fill makes node 0 the M owner — and the directory must
+     * keep node 0, or a later GetM leaves two M copies.
+     */
+    void
+    upgradeRacesWriteback(sim::Tick upgrade_at)
+    {
+        const sim::Addr x = 0x20000, y1 = 0x20800, y2 = 0x21000;
+        accessAndWait(0, x, true);
+        accessAndWait(1, x, false);  // 0: O, 1: S
+        accessAndWait(0, y1, false); // node 0's set: X and Y1
+
+        // Y2's fill lands at t0+192 and the upgrade's at
+        // t0+upgrade_at+162; the PutM reaches the home at t0+254.
+        const sim::Tick t0 = eq.curTick();
+        ms->dcache(0).access({y2, false, false, nextTag++});
+        eq.callAt(t0 + upgrade_at, [this, x] {
+            ms->dcache(0).access({x, true, false, nextTag++});
+        });
+        eq.callAt(t0 + upgrade_at + 1, [this, y1] {
+            // An L2 hit on Y1 leaves X least recently used.
+            ms->icache(0).access({y1, false, true, nextTag++});
+        });
+        eq.run();
+
+        ASSERT_EQ(ms->l2(0).writebacks(), 1u) << "X was not evicted";
+        EXPECT_EQ(ms->l2(0).snoopState(x), LineState::Modified);
+        EXPECT_EQ(ms->directory().ownerOf(x), 0);
+        EXPECT_EQ(ms->directory().sharersOf(x), 0b0001u);
+
+        accessAndWait(1, x, true);
+        EXPECT_EQ(ms->l2(0).snoopState(x), LineState::Invalid);
+        EXPECT_EQ(ms->l2(1).snoopState(x), LineState::Modified);
+    }
+
     sim::EventQueue eq;
     std::unique_ptr<MemSystem> ms;
     std::vector<std::unique_ptr<TestClient>> clients;
@@ -203,6 +242,16 @@ TEST_F(DirectoryTest, RestoreRebuildsDirectoryFromCaches)
     EXPECT_EQ(ms2.directory().ownerOf(0x20000), 0);
     EXPECT_EQ(ms2.directory().sharersOf(0x20000) & 0x3u, 0x3u);
     EXPECT_EQ(ms2.directory().ownerOf(0x50000), 2);
+}
+
+TEST_F(DirectoryTest, StaleWritebackAfterUpgradeFillKeepsOwner)
+{
+    upgradeRacesWriteback(40); // PutM arrives after the fill
+}
+
+TEST_F(DirectoryTest, StaleWritebackDuringUpgradeFillKeepsOwner)
+{
+    upgradeRacesWriteback(120); // PutM arrives with the fill in flight
 }
 
 TEST_F(DirectoryTest, PerturbationAppliesToDirectoryFills)

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "mem/mem_system.hh"
 
 namespace varsim
@@ -70,17 +73,80 @@ class MemSystemTest : public ::testing::Test
     sim::Tick
     accessAndWait(std::size_t node, sim::Addr addr, bool write)
     {
+        if (write)
+            writers[addr].insert(node);
         const sim::Tick start = eq.curTick();
         if (ms->dcache(node).tryAccess(addr, write))
             return 0;
+        issued.emplace_back(node, nextTag);
         ms->dcache(node).access({addr, write, false, nextTag++});
         eq.run();
         return clients[node]->lastResponseTick() - start;
     }
 
+    /**
+     * Checkpoint the quiescent system and replace it with a fresh
+     * one built from @p cfg and restored from that image.
+     */
+    void
+    restoreInto(const MemConfig &cfg)
+    {
+        sim::CheckpointOut out;
+        ms->serialize(out);
+        clients.clear();
+        issued.clear();
+        build(cfg);
+        sim::CheckpointIn in(out.bytes());
+        ms->unserialize(in);
+    }
+
+    /**
+     * The random tester's invariants for @p blocks: I1 one owner at
+     * most, I2 M is exclusive, I3 every issued access answered once,
+     * I4 M only at a node that wrote, I5 quiescent, I6 the bus's
+     * holder filter names every node with a valid copy.
+     */
+    void
+    expectCoherent(const std::vector<sim::Addr> &blocks)
+    {
+        EXPECT_EQ(ms->pendingTransactions(), 0u) << "I5";
+        for (const auto &[node, tag] : issued) {
+            std::size_t answers = 0;
+            for (const auto &r : clients[node]->responses)
+                answers += r.first == tag;
+            EXPECT_EQ(answers, 1u) << "I3: tag " << tag;
+        }
+        for (const sim::Addr addr : blocks) {
+            const std::uint64_t holders = ms->bus().holdersOf(addr);
+            int owners = 0, valid = 0, modified = -1;
+            for (std::size_t n = 0; n < ms->config().numNodes; ++n) {
+                const LineState st = ms->l2(n).snoopState(addr);
+                if (!isValidState(st))
+                    continue;
+                ++valid;
+                owners += isOwnerState(st);
+                if (st == LineState::Modified)
+                    modified = static_cast<int>(n);
+                EXPECT_NE(holders & (std::uint64_t{1} << n), 0u)
+                    << "I6: block " << std::hex << addr
+                    << " valid at node " << std::dec << n;
+            }
+            EXPECT_LE(owners, 1) << "I1: block " << std::hex << addr;
+            if (modified >= 0) {
+                EXPECT_EQ(valid, 1) << "I2: block " << std::hex << addr;
+                EXPECT_EQ(writers[addr].count(
+                              static_cast<std::size_t>(modified)),
+                          1u)
+                    << "I4: block " << std::hex << addr;
+            }
+        }
+    }
+
     sim::EventQueue eq;
     std::unique_ptr<MemSystem> ms;
     std::vector<std::unique_ptr<TestClient>> clients;
+    std::vector<std::pair<std::size_t, std::uint64_t>> issued;
+    std::map<sim::Addr, std::set<std::size_t>> writers;
     std::uint64_t nextTag = 1;
 };
 
@@ -311,6 +377,80 @@ TEST_F(MemSystemTest, SerializeRestoresCoherenceState)
     EXPECT_EQ(ms2.l2(2).snoopState(0x30000), LineState::Modified);
     EXPECT_EQ(ms2.totalStats().l2Misses,
               ms->totalStats().l2Misses);
+}
+
+TEST_F(MemSystemTest, RestoreRebuildsTheHolderFilter)
+{
+    const sim::Addr owned = 0x20000, shared = 0x30000,
+                    modified = 0x40000;
+    build(smallConfig());
+    accessAndWait(0, owned, true);
+    accessAndWait(1, owned, false); // 0: O, 1: S
+    for (std::size_t n = 0; n < 3; ++n)
+        accessAndWait(n, shared, false); // 0, 1, 2: S
+    accessAndWait(3, modified, true);    // 3: M
+    const std::vector<sim::Addr> blocks{owned, shared, modified};
+    expectCoherent(blocks);
+
+    // Same geometry: the tags come back, and the holder filter (never
+    // checkpointed) is rebuilt from them.
+    restoreInto(smallConfig());
+    EXPECT_EQ(ms->l2(0).snoopState(owned), LineState::Owned);
+    EXPECT_EQ(ms->l2(2).snoopState(shared), LineState::Shared);
+    EXPECT_EQ(ms->bus().holdersOf(shared), 0b0111u);
+    expectCoherent(blocks);
+
+    // A remote GetM to the restored shared block must reach every
+    // copy; a filter left empty by a skipped rebuild would snoop no
+    // one and leave three stale sharers behind.
+    accessAndWait(3, shared, true);
+    for (std::size_t n = 0; n < 3; ++n) {
+        EXPECT_EQ(ms->l2(n).snoopState(shared), LineState::Invalid)
+            << "node " << n;
+        EXPECT_FALSE(ms->dcache(n).tryAccess(shared, false));
+    }
+    EXPECT_EQ(ms->l2(3).snoopState(shared), LineState::Modified);
+    EXPECT_EQ(ms->bus().holdersOf(shared), 0b1000u);
+    // And the restored owner still supplies its block.
+    const std::uint64_t c2c = ms->totalStats().cacheToCache;
+    accessAndWait(2, owned, false);
+    EXPECT_EQ(ms->totalStats().cacheToCache, c2c + 1);
+    expectCoherent(blocks);
+}
+
+TEST_F(MemSystemTest, RestoreIntoOtherGeometryStartsColdAndCoherent)
+{
+    const sim::Addr owned = 0x20000, shared = 0x30000;
+    build(smallConfig());
+    accessAndWait(0, owned, true);
+    accessAndWait(1, owned, false);
+    accessAndWait(1, shared, false);
+    accessAndWait(2, shared, false);
+
+    // A different L2 associativity cannot reuse the tags: the L2s
+    // restore cold, memory owns every block, the filter is empty and
+    // the L1s (same geometry) drop the lines their L2 lost.
+    MemConfig other = smallConfig();
+    other.l2Assoc = 4;
+    restoreInto(other);
+    const std::vector<sim::Addr> blocks{owned, shared};
+    for (const sim::Addr addr : blocks) {
+        EXPECT_EQ(ms->bus().holdersOf(addr), 0u);
+        for (std::size_t n = 0; n < ms->config().numNodes; ++n) {
+            EXPECT_EQ(ms->l2(n).snoopState(addr), LineState::Invalid);
+            EXPECT_FALSE(ms->dcache(n).tryAccess(addr, false));
+        }
+    }
+    expectCoherent(blocks);
+
+    // Traffic on the cold system keeps every invariant.
+    EXPECT_EQ(accessAndWait(0, owned, false), 192u) << "memory fetch";
+    accessAndWait(1, owned, true);
+    accessAndWait(2, shared, true);
+    accessAndWait(3, shared, false);
+    EXPECT_EQ(ms->l2(0).snoopState(owned), LineState::Invalid);
+    EXPECT_EQ(ms->l2(2).snoopState(shared), LineState::Owned);
+    expectCoherent(blocks);
 }
 
 TEST_F(MemSystemTest, MshrMergesRequestsToSameBlock)

@@ -21,6 +21,8 @@
 #include "campaign/knobs.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
+#include "serve/protocol.hh"
+#include "serve/schema.hh"
 #include "sim/logging.hh"
 
 namespace
@@ -156,6 +158,30 @@ TEST(ServeE2e, SubmitRejectionsCarryDaemonMessages)
     bad.fields.workload = "quake"; // fails buildSpec client-side
     EXPECT_FALSE(client.submit(bad, &err));
     EXPECT_NE(err.find("workload"), std::string::npos);
+
+    // A node count the memory system cannot build, sent raw so the
+    // client-side check cannot catch it first: the daemon refuses it
+    // at submit, naming the knob, and keeps serving.
+    for (const char *cpus : {"0", "65", "abc"}) {
+        serve::Submission raw = makeSub("t", "cpus", smallFields());
+        raw.fields.base["cpus"] = cpus;
+        raw.fingerprintHex = "1";
+        const int fd = serve::connectTo(cfg.addr, &err);
+        ASSERT_GE(fd, 0) << err;
+        serve::FrameIo io(fd);
+        io.setRecvTimeout(30000);
+        std::string reply;
+        ASSERT_TRUE(io.send(serve::encodeSubmission(raw)));
+        ASSERT_TRUE(io.recv(reply)) << io.errorText();
+        sim::JsonLine rep;
+        ASSERT_TRUE(rep.parse(reply)) << reply;
+        EXPECT_EQ(rep.str("type"), "error") << reply;
+        EXPECT_NE(rep.str("message").find("cpus"), std::string::npos)
+            << reply;
+        ASSERT_TRUE(client.ping(&err)) << err;
+    }
+    serve::CampaignInfo refused;
+    EXPECT_FALSE(client.info("t/cpus", refused, &err));
 
     serve::Submission dup = makeSub("t", "dup", smallFields());
     ASSERT_TRUE(client.submit(dup, &err)) << err;

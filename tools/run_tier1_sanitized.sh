@@ -28,10 +28,10 @@ cmake --build "$build" -j "$jobs"
 # would silently drop one; assert the binaries this gate exists to
 # run (serialization, the persistent checkpoint library, the
 # statistics paths — the histogram NaN/inf regression in test_stats
-# only proves anything under UBSan — and the sampling engine) are
-# actually present.
+# only proves anything under UBSan — the sampling engine, and the
+# coherence fabrics) are actually present.
 for t in test_sim test_stats test_core test_campaign test_ckpt \
-         test_sample; do
+         test_sample test_mem; do
     [ -x "$build/tests/$t" ] || {
         echo "error: $build/tests/$t was not built" >&2
         exit 1
@@ -76,6 +76,18 @@ fi
 "$build/tests/test_campaign" \
     --gtest_filter='SegmentFormat.*:StoreCompaction*' >/dev/null || {
     echo "error: segment-store suites failed under asan/ubsan" >&2
+    exit 1
+}
+
+# The coherence oracles, explicitly under instrumented checking: the
+# random tester (I1-I6 over timed and functional-warming traffic on
+# both fabrics) and the memory-system suite (checkpoint restore into
+# the same and a different L2 geometry). The bus's holder filter
+# shifts one bit per node id and grows its open-addressing table as
+# blocks are snooped — UBSan checks the shifts, ASan the growth.
+"$build/tests/test_mem" \
+    --gtest_filter='*CoherenceRandom*:MemSystemTest.*' >/dev/null || {
+    echo "error: coherence oracles failed under asan/ubsan" >&2
     exit 1
 }
 

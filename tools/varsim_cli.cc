@@ -44,7 +44,7 @@
  *   --txns <txns>          measured transactions   (default: the
  *                          workload's Table 3 count)
  *   --seed <s>             base perturbation seed  (default 1000)
- *   --cpus <n>             processors              (default 16)
+ *   --cpus <n>             processors, 1..64       (default 16)
  *   --threads-per-cpu <n>  software threads/CPU    (workload default)
  *   --stats <file|->       (run) write each run's full metrics-
  *                          registry dump as one JSONL line, and
@@ -273,7 +273,11 @@ systemFromArgs(const Args &args, const std::string &suffix)
     auto knob = [&](const char *name) {
         return std::string(name) + suffix;
     };
-    sys.mem.numNodes = args.num("cpus", sys.mem.numNodes);
+    if (args.has("cpus") &&
+        !campaign::parseNodeCount(args.str("cpus", ""),
+                                  sys.mem.numNodes))
+        sim::fatal("bad --cpus '%s' (want a node count in 1..%zu)",
+                   args.str("cpus", "").c_str(), mem::maxNodes);
     sys.mem.l2Assoc = args.num(knob("l2-assoc"), sys.mem.l2Assoc);
     sys.mem.l2Size = args.num(knob("l2-size"), sys.mem.l2Size);
     sys.mem.dramLatency =
