@@ -42,6 +42,60 @@ BM_EventQueueScheduleDispatch(benchmark::State &state)
 }
 BENCHMARK(BM_EventQueueScheduleDispatch);
 
+/**
+ * Steady-state hold model of the event queue: 35 pending events, and
+ * every dispatch schedules one successor, so the queue stays at the
+ * occupancy a simulation sees. Delays follow the mix measured on an
+ * ECPerf run: 28% at most 16 ticks, 70% 17-256, 1.5% 257-4096 and
+ * 0.5% beyond (about 20000 ticks on average). As in that run, the
+ * rare long delays make up about half of the pending events. One
+ * item is one dispatch plus one schedule.
+ */
+void
+BM_EventQueueHold(benchmark::State &state)
+{
+    sim::EventQueue eq;
+    std::vector<sim::Tick> delays(4096);
+    sim::Random rng(7);
+    for (sim::Tick &d : delays) {
+        const double u = rng.uniformReal();
+        d = u < 0.28    ? rng.uniformInt(1, 16)
+            : u < 0.98  ? rng.uniformInt(17, 256)
+            : u < 0.995 ? rng.uniformInt(257, 4096)
+                        : rng.uniformInt(4097, 36864);
+    }
+    class Hold : public sim::Event
+    {
+      public:
+        Hold(sim::EventQueue &q, const std::vector<sim::Tick> &d,
+             std::size_t &next)
+            : q_(q), delays_(d), next_(next)
+        {}
+        void
+        process() override
+        {
+            q_.schedule(this, q_.curTick() +
+                                  delays_[next_++ % delays_.size()]);
+        }
+
+      private:
+        sim::EventQueue &q_;
+        const std::vector<sim::Tick> &delays_;
+        std::size_t &next_;
+    };
+    std::size_t next = 0;
+    std::vector<std::unique_ptr<Hold>> events;
+    for (int i = 0; i < 35; ++i) {
+        events.push_back(std::make_unique<Hold>(eq, delays, next));
+        eq.schedule(events.back().get(), delays[next++]);
+    }
+    for (auto _ : state)
+        eq.step();
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueHold);
+
 void
 BM_RandomNext(benchmark::State &state)
 {

@@ -1,6 +1,7 @@
 #include "sim/eventq.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -27,12 +28,26 @@ CallbackEvent::process()
 
 EventQueue::EventQueue()
 {
-    // One simulated coherence transaction schedules a handful of
-    // events; keep the steady-state heap free of regrowth.
-    heap.reserve(1024);
+    // Far events are a few percent of all schedules; keep their heap
+    // free of regrowth in steady state anyway.
+    heap.reserve(256);
 }
 
-EventQueue::~EventQueue() = default;
+EventQueue::~EventQueue()
+{
+    // Detach whatever is still pending, so events that outlive the
+    // queue (or die with its callback pool) never call back into it.
+    for (const Slot &slot : slots) {
+        for (Event *ev = slot.head; ev != nullptr; ev = ev->next_) {
+            ev->scheduled_ = false;
+            ev->queue_ = nullptr;
+        }
+    }
+    for (const HeapEntry &e : heap) {
+        e.ev->scheduled_ = false;
+        e.ev->queue_ = nullptr;
+    }
+}
 
 CallbackEvent *
 EventQueue::acquireCallback()
@@ -70,7 +85,10 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->seq_ = nextSeq++;
     ev->scheduled_ = true;
     ev->queue_ = this;
-    pushEntry({when, ev->priority(), ev->seq_, ev});
+    if (when - curTick_ < wheelSize)
+        linkWheel(ev);
+    else
+        pushEntry({when, ev->priority(), ev->seq_, ev});
     ++numPending;
     ++mutations_;
     if (ev->reach_.annotated()) {
@@ -94,8 +112,10 @@ EventQueue::deschedule(Event *ev)
     VARSIM_ASSERT(ev != nullptr, "descheduling null event");
     VARSIM_ASSERT(ev->scheduled_, "event '%s' not scheduled",
                   ev->name().c_str());
-    // Lazy removal: the heap entry stays behind and is discarded when
-    // popped (its seq no longer matches a live scheduled event).
+    if (ev->heapPos_ == onWheel)
+        unlinkWheel(ev);
+    else
+        removeEntry(ev->heapPos_);
     ev->scheduled_ = false;
     ev->queue_ = nullptr;
     --numPending;
@@ -121,56 +141,97 @@ EventQueue::restoreTick(Tick t)
     curTick_ = t;
 }
 
-bool
-EventQueue::skimStale()
+void
+EventQueue::linkWheel(Event *ev)
 {
-    // Discard tombstones left behind by deschedule()/reschedule().
-    while (!heap.empty()) {
-        const HeapEntry &top = heap.front();
-        if (top.ev->scheduled_ && top.ev->seq_ == top.seq)
-            return true;
-        popEntry();
-    }
-    return false;
-}
-
-Tick
-EventQueue::run(Tick stop_tick)
-{
-    while (!stopRequested) {
-        if (!skimStale() || heap.front().when > stop_tick)
-            break;
-
-        // Dispatch inline: the top entry is known live, so the
-        // peek-then-step double walk of the heap is unnecessary.
-        const HeapEntry entry = popEntry();
-        Event *ev = entry.ev;
-        VARSIM_ASSERT(entry.when >= curTick_,
-                      "time went backwards dispatching '%s'",
-                      ev->name().c_str());
-        curTick_ = entry.when;
-        ev->scheduled_ = false;
-        ev->queue_ = nullptr;
-        --numPending;
-        ++mutations_;
-        if (ev->reach_.annotated())
-            unindexAnnotated(ev);
-        ++dispatched;
-        ev->process();
-    }
-    return curTick_;
+    const std::size_t s = ev->when_ & wheelMask;
+    Slot &slot = slots[s];
+    // ev carries the largest seq so far, so it goes right after the
+    // last entry whose priority does not exceed its own — almost
+    // always the tail.
+    Event *prev = slot.tail;
+    while (prev != nullptr && prev->priority_ > ev->priority_)
+        prev = prev->prev_;
+    Event *next = prev != nullptr ? prev->next_ : slot.head;
+    ev->prev_ = prev;
+    ev->next_ = next;
+    ev->heapPos_ = onWheel;
+    (prev != nullptr ? prev->next_ : slot.head) = ev;
+    (next != nullptr ? next->prev_ : slot.tail) = ev;
+    occupied[s / 64] |= std::uint64_t{1} << (s % 64);
+    occupiedWords |= std::uint32_t{1} << (s / 64);
 }
 
 void
-EventQueue::step()
+EventQueue::unlinkWheel(Event *ev)
 {
-    VARSIM_ASSERT(skimStale(), "step() on empty event queue");
-    const HeapEntry entry = popEntry();
-    Event *ev = entry.ev;
-    VARSIM_ASSERT(entry.when >= curTick_,
+    const std::size_t s = ev->when_ & wheelMask;
+    Slot &slot = slots[s];
+    (ev->prev_ != nullptr ? ev->prev_->next_ : slot.head) = ev->next_;
+    (ev->next_ != nullptr ? ev->next_->prev_ : slot.tail) = ev->prev_;
+    if (slot.head == nullptr) {
+        occupied[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+        if (occupied[s / 64] == 0)
+            occupiedWords &= ~(std::uint32_t{1} << (s / 64));
+    }
+}
+
+Tick
+EventQueue::wheelNextFrom(Tick from) const
+{
+    // Offset of @p from inside the window [curTick_, curTick_ + W).
+    const Tick offset = from - curTick_;
+    if (occupiedWords == 0 || offset >= wheelSize)
+        return maxTick;
+    const std::size_t base = from & wheelMask;
+    const std::size_t w0 = base / 64;
+    const std::uint64_t here =
+        occupied[w0] & (~std::uint64_t{0} << (base % 64));
+    std::size_t s;
+    if (here != 0) {
+        s = w0 * 64 + std::countr_zero(here);
+    } else {
+        // The first occupied word above w0; failing that, wrap round
+        // to the lowest one (w0's own low bits included).
+        const std::uint32_t above =
+            occupiedWords & ~((std::uint32_t{2} << w0) - 1);
+        const std::size_t w =
+            std::countr_zero(above != 0 ? above : occupiedWords);
+        s = w * 64 + std::countr_zero(occupied[w]);
+    }
+    // Slot s holds the window's one tick congruent to s; past the end
+    // of the window it is a tick before @p from, already passed over.
+    const Tick d = (s - base) & wheelMask;
+    return offset + d < wheelSize ? from + d : maxTick;
+}
+
+Event *
+EventQueue::popNext(Tick limit)
+{
+    const Tick wt = wheelNextFrom(curTick_);
+    Event *ev = wt != maxTick ? slots[wt & wheelMask].head : nullptr;
+    if (!heap.empty() &&
+        (ev == nullptr ||
+         HeapEntry{wt, ev->priority_, ev->seq_, ev} > heap.front())) {
+        if (heap.front().when > limit)
+            return nullptr;
+        Event *far = heap.front().ev;
+        removeEntry(0);
+        return far;
+    }
+    if (ev == nullptr || wt > limit)
+        return nullptr;
+    unlinkWheel(ev);
+    return ev;
+}
+
+void
+EventQueue::dispatch(Event *ev)
+{
+    VARSIM_ASSERT(ev->when_ >= curTick_,
                   "time went backwards dispatching '%s'",
                   ev->name().c_str());
-    curTick_ = entry.when;
+    curTick_ = ev->when_;
     ev->scheduled_ = false;
     ev->queue_ = nullptr;
     --numPending;
@@ -182,9 +243,43 @@ EventQueue::step()
 }
 
 Tick
+EventQueue::run(Tick stop_tick)
+{
+    while (!stopRequested) {
+        Event *ev = popNext(stop_tick);
+        if (ev == nullptr)
+            break;
+        dispatch(ev);
+    }
+    return curTick_;
+}
+
+void
+EventQueue::step()
+{
+    Event *ev = popNext(maxTick);
+    VARSIM_ASSERT(ev != nullptr, "step() on empty event queue");
+    dispatch(ev);
+}
+
+Tick
 EventQueue::minUnannotatedTick() const
 {
     Tick best = maxTick;
+    // Wheel first, slot by slot in tick order: the first slot holding
+    // an unannotated event is the wheel's answer.
+    for (Tick t = wheelNextFrom(curTick_); t != maxTick;
+         t = wheelNextFrom(t + 1)) {
+        for (const Event *ev = slots[t & wheelMask].head; ev != nullptr;
+             ev = ev->next_) {
+            if (!ev->reach_.annotated()) {
+                best = t;
+                break;
+            }
+        }
+        if (best != maxTick)
+            break;
+    }
     minUnannotatedFrom(0, best);
     return best;
 }
@@ -199,18 +294,31 @@ EventQueue::minUnannotatedFrom(std::size_t i, Tick &best) const
     // when >= e.when, so nothing below can beat the current best.
     if (e.when >= best)
         return;
-    if (e.ev->scheduled_ && e.ev->seq_ == e.seq &&
-        !e.ev->reach_.annotated()) {
-        // Live and unannotated: take it, and prune the subtree (the
-        // children are no earlier than this entry).
+    if (!e.ev->reach_.annotated()) {
+        // Unannotated: take it, and prune the subtree (the children
+        // are no earlier than this entry).
         best = e.when;
         return;
     }
-    // Annotated or stale: the entry itself does not count, but live
-    // unannotated descendants might still beat best.
+    // Annotated: the entry itself does not count, but unannotated
+    // descendants might still beat best.
     const std::size_t first = 4 * i + 1;
     for (std::size_t c = first; c < first + 4; ++c)
         minUnannotatedFrom(c, best);
+}
+
+// A 4-ary heap: half the depth of a binary heap and the four
+// children share cache lines. The comparator is a strict total order
+// over (when, priority, seq), so the dispatch sequence is identical
+// to any other correct heap — event order, and with it every golden,
+// is unaffected by the arity. Every move records the entry's index in
+// its event, which is what lets deschedule remove it in place.
+
+void
+EventQueue::place(std::size_t i, const HeapEntry &e)
+{
+    heap[i] = e;
+    e.ev->heapPos_ = static_cast<std::uint32_t>(i);
 }
 
 void
@@ -220,24 +328,19 @@ EventQueue::pushEntry(const HeapEntry &e)
     siftUp(heap.size() - 1);
 }
 
-EventQueue::HeapEntry
-EventQueue::popEntry()
+void
+EventQueue::removeEntry(std::size_t i)
 {
-    HeapEntry top = heap.front();
-    heap.front() = heap.back();
+    const HeapEntry last = heap.back();
     heap.pop_back();
-    if (!heap.empty())
-        siftDown(0);
-    return top;
+    if (i == heap.size())
+        return;
+    heap[i] = last;
+    if (i > 0 && heap[(i - 1) / 4] > last)
+        siftUp(i);
+    else
+        siftDown(i);
 }
-
-// A 4-ary heap: half the depth of a binary heap and the four
-// children share cache lines, which matters because schedule/pop is
-// on the critical path of both engines (and dominates fast-mode
-// sampling runs). The comparator is a strict total order over
-// (when, priority, seq), so the dispatch sequence is identical to
-// any other correct heap — event order, and with it every golden,
-// is unaffected by the arity.
 
 void
 EventQueue::siftUp(std::size_t i)
@@ -246,13 +349,13 @@ EventQueue::siftUp(std::size_t i)
     while (i > 0) {
         const std::size_t parent = (i - 1) / 4;
         if (heap[parent] > e) {
-            heap[i] = heap[parent];
+            place(i, heap[parent]);
             i = parent;
         } else {
             break;
         }
     }
-    heap[i] = e;
+    place(i, e);
 }
 
 void
@@ -272,10 +375,10 @@ EventQueue::siftDown(std::size_t i)
         }
         if (!(e > heap[smallest]))
             break;
-        heap[i] = heap[smallest];
+        place(i, heap[smallest]);
         i = smallest;
     }
-    heap[i] = e;
+    place(i, e);
 }
 
 } // namespace sim

@@ -145,10 +145,16 @@ class Event
     Priority priority_;
     bool scheduled_ = false;
     EventQueue *queue_ = nullptr;
+    /** Neighbours in the queue's wheel slot (valid only while
+     *  scheduled on the wheel). */
+    Event *prev_ = nullptr;
+    Event *next_ = nullptr;
     SendReach reach_{};
     /** Slot in the queue's annotated-event index (valid only while
      *  scheduled with an annotated reach). */
     std::uint32_t annPos_ = 0;
+    /** Position in the queue's far heap, or onWheel. */
+    std::uint32_t heapPos_ = 0;
 };
 
 /**
@@ -237,7 +243,18 @@ class CallbackEvent : public Event
 };
 
 /**
- * The event queue: a binary heap ordered by (tick, priority, seq).
+ * The event queue, dispatching in (tick, priority, seq) order.
+ *
+ * Near events — those due less than wheelSize ticks after curTick() —
+ * sit on a timing wheel: one slot per tick, each slot an intrusive
+ * list sorted by (priority, seq), and a bitmap of occupied slots that
+ * finds the next tick with a count-trailing-zeros. Every wheel event
+ * lies in [curTick, curTick + wheelSize), so a slot never mixes two
+ * ticks. Far events go to a 4-ary heap. Dispatch takes the smaller of
+ * the wheel front and the heap top under the full comparator, so the
+ * split changes the cost of an event, never its order. Removal is
+ * eager on both sides: deschedule unlinks from the slot, or removes
+ * the heap entry by the position the event records.
  *
  * Each Simulation owns exactly one queue; there are no global queues,
  * so independent simulations can run concurrently on host threads
@@ -352,15 +369,16 @@ class EventQueue
     bool stopPending() const { return stopRequested; }
 
     /**
-     * Tick of the earliest live (non-tombstoned) pending event, or
-     * maxTick if the queue is empty. Used by the domain scheduler to
-     * compute the global round horizon. Not const: skims stale
-     * tombstones off the heap top as a side effect.
+     * Tick of the earliest pending event, or maxTick if the queue is
+     * empty. Used by the domain scheduler to compute the global round
+     * horizon.
      */
     Tick
-    nextEventTick()
+    nextEventTick() const
     {
-        return skimStale() ? heap.front().when : maxTick;
+        const Tick t = wheelNextFrom(curTick_);
+        return !heap.empty() && heap.front().when < t ? heap.front().when
+                                                      : t;
     }
 
     /**
@@ -373,11 +391,11 @@ class EventQueue
     std::size_t annotatedPending() const { return annIdx_.size(); }
 
     /**
-     * Visit every live annotated pending event as (when, reach), in
-     * no particular order — callers reduce with min, never depend on
+     * Visit every annotated pending event as (when, reach), in no
+     * particular order — callers reduce with min, never depend on
      * sequence. Backed by an exactly-maintained side index (swap-
      * removed on dispatch/deschedule), so the cost is the number of
-     * annotated items, independent of the heap size.
+     * annotated items, independent of the queue size.
      */
     template <typename F>
     void
@@ -388,17 +406,22 @@ class EventQueue
     }
 
     /**
-     * Tick of the earliest live *unannotated* pending event, or
-     * maxTick if none. Together with forEachAnnotated this gives the
-     * domain scheduler the exact per-item reduction
+     * Tick of the earliest *unannotated* pending event, or maxTick if
+     * none. Together with forEachAnnotated this gives the domain
+     * scheduler the exact per-item reduction
      * min over items of (w + otherDelay) without scanning the whole
-     * heap: unannotated items contribute w (their otherDelay is 0),
-     * and the heap's structural order lets the search prune every
-     * subtree that cannot beat the best tick found so far — it
-     * visits only the annotated/stale "crown" of the heap plus its
-     * live frontier.
+     * queue: unannotated items contribute w (their otherDelay is 0).
+     * The wheel is walked slot by slot in tick order and the walk
+     * stops at the first slot holding an unannotated event; the far
+     * heap's structural order then prunes every subtree that cannot
+     * beat that tick, so the search visits only the annotated "crown"
+     * of the heap plus its frontier.
      */
     Tick minUnannotatedTick() const;
+
+    /** Wheel span in ticks: events due sooner than this after
+     *  curTick() go on the wheel, the rest on the far heap. */
+    static constexpr Tick wheelSize = 1024;
 
   private:
     struct HeapEntry
@@ -419,15 +442,43 @@ class EventQueue
         }
     };
 
+    /** One tick's events, sorted by (priority, seq). */
+    struct Slot
+    {
+        Event *head = nullptr;
+        Event *tail = nullptr;
+    };
+
+    static_assert((wheelSize & (wheelSize - 1)) == 0 &&
+                      wheelSize % 64 == 0 && wheelSize / 64 <= 32,
+                  "wheelSize: a power of two, 64..2048");
+    static constexpr Tick wheelMask = wheelSize - 1;
+    static constexpr std::size_t wheelWords = wheelSize / 64;
+    /** Event::heapPos_ of an event on the wheel. */
+    static constexpr std::uint32_t onWheel = 0xffffffffu;
+
     friend class CallbackEvent;
+
+    void linkWheel(Event *ev);
+    void unlinkWheel(Event *ev);
+    /**
+     * Earliest occupied wheel tick at or after @p from, or maxTick if
+     * none (@p from >= curTick_).
+     */
+    Tick wheelNextFrom(Tick from) const;
+
+    /** Unlink and return the earliest pending event if it is due no
+     *  later than @p limit; nullptr otherwise. */
+    Event *popNext(Tick limit);
+    /** Advance time to @p ev and run it (already unlinked). */
+    void dispatch(Event *ev);
 
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
+    /** Store @p e at heap index @p i, updating its back-pointer. */
+    void place(std::size_t i, const HeapEntry &e);
     void pushEntry(const HeapEntry &e);
-    HeapEntry popEntry();
-
-    /** Pop tombstoned entries off the top; true if a live one waits. */
-    bool skimStale();
+    void removeEntry(std::size_t i);
 
     /** Swap-remove @p ev from the annotated index (O(1)). */
     void unindexAnnotated(Event *ev);
@@ -438,6 +489,12 @@ class EventQueue
     CallbackEvent *acquireCallback();
     void releaseCallback(CallbackEvent *ev);
 
+    Slot slots[wheelSize];
+    /** Bit s set iff slots[s] is non-empty. */
+    std::uint64_t occupied[wheelWords] = {};
+    /** Bit w set iff occupied[w] != 0. */
+    std::uint32_t occupiedWords = 0;
+    /** Far events, a 4-ary heap. */
     std::vector<HeapEntry> heap;
     Tick curTick_ = 0;
     std::uint64_t nextSeq = 0;

@@ -248,9 +248,11 @@ TEST_P(CoherenceRandomTest, InvariantsHoldUnderRandomTraffic)
     EXPECT_GT(s.cacheToCache, 0u);
 }
 
-TEST(CoherenceRandomTest16, ScalesToSixteenNodes)
+/** I1-I6 at full width: 16 nodes, warm bursts between quiesces. */
+void
+runSixteenNodes(CoherenceProtocol protocol)
 {
-    RandomTester t(99, 16);
+    RandomTester t(99, 16, protocol);
     for (int round = 0; round < 10; ++round) {
         for (int i = 0; i < 100; ++i)
             t.step();
@@ -262,6 +264,16 @@ TEST(CoherenceRandomTest16, ScalesToSixteenNodes)
         if (::testing::Test::HasFatalFailure())
             return;
     }
+}
+
+TEST(CoherenceRandomTest16, ScalesToSixteenNodes)
+{
+    runSixteenNodes(CoherenceProtocol::Snooping);
+}
+
+TEST(CoherenceRandomTest16, ScalesToSixteenNodesDirectory)
+{
+    runSixteenNodes(CoherenceProtocol::Directory);
 }
 
 } // namespace

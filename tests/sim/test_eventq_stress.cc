@@ -1,17 +1,20 @@
 /**
  * @file
- * Event-queue stress: lazy descheduling, pooled one-shot callbacks
- * and ordering under dense schedule/deschedule/reschedule churn.
+ * Event-queue stress: descheduling, pooled one-shot callbacks and
+ * ordering under dense schedule/deschedule/reschedule churn.
  *
- * The queue deschedules lazily (tombstones stay in the heap until
- * they surface), so these tests drive the queue through interleavings
- * where stale entries pile up and verify that dispatch order,
- * size()/empty() accounting and rescheduling semantics are exactly
- * those of an eagerly-compacted queue.
+ * The queue removes descheduled events eagerly, from a wheel slot or
+ * from the far heap. These tests drive it through interleavings of
+ * removals at the front and in the middle of the queue and verify
+ * dispatch order, size()/empty() accounting and rescheduling
+ * semantics, and that destroying a pending event leaves the queue
+ * holding no pointer to it.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/eventq.hh"
@@ -53,9 +56,8 @@ TEST(EventQueueStress, RescheduleChurnPreservesOrder)
     for (int i = 0; i < n; ++i)
         events.push_back(std::make_unique<LogEvent>(i, q, log));
 
-    // Schedule all, then repeatedly move events around. Every
-    // reschedule tombstones the old heap entry, so after this loop
-    // the heap holds several times more entries than live events.
+    // Schedule all, then repeatedly move events around: every
+    // reschedule unlinks the event from its old slot first.
     for (int i = 0; i < n; ++i)
         q.schedule(events[i].get(), 100 + i);
     SplitMix64 rng(7);
@@ -94,8 +96,7 @@ TEST(EventQueueStress, DescheduleIsExactDespiteTombstones)
         q.schedule(events[i].get(), 10 + i);
     }
 
-    // Deschedule every third event; size() must track live events,
-    // not heap entries.
+    // Deschedule every third event; size() must track live events.
     std::size_t live = n;
     for (int i = 0; i < n; i += 3) {
         q.deschedule(events[i].get());
@@ -141,8 +142,8 @@ TEST(EventQueueStress, StepSkipsTombstones)
     for (int i = 0; i < 4; ++i)
         events.push_back(std::make_unique<LogEvent>(i, q, log));
 
-    // Tombstones at the top of the heap: events 0..2 are earliest
-    // but get descheduled; step() must fire event 3.
+    // Events 0..2 are earliest but get descheduled; step() must
+    // fire event 3.
     for (int i = 0; i < 4; ++i)
         q.schedule(events[i].get(), 10 + i);
     for (int i = 0; i < 3; ++i)
@@ -152,6 +153,41 @@ TEST(EventQueueStress, StepSkipsTombstones)
     ASSERT_EQ(log.size(), 1u);
     EXPECT_EQ(log[0].second, 3);
     EXPECT_TRUE(q.empty());
+}
+
+/**
+ * Schedule an owned event at @p ownedAt and a heap-allocated one at
+ * @p victimAt, destroy the second while it is pending, then run: the
+ * queue must neither touch the freed event nor fire it.
+ */
+void
+destroyPendingThenRun(Tick ownedAt, Tick victimAt)
+{
+    EventQueue q;
+    std::vector<std::pair<Tick, int>> log;
+    LogEvent owned(1, q, log);
+    q.schedule(&owned, ownedAt);
+    auto victim = std::make_unique<LogEvent>(2, q, log);
+    q.schedule(victim.get(), victimAt);
+    victim.reset();
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.nextEventTick(), ownedAt);
+
+    q.run();
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0], std::make_pair(ownedAt, 1));
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueStress, DestroyingPendingNearEventLeavesNoDanglingEntry)
+{
+    destroyPendingThenRun(100, 50);
+}
+
+TEST(EventQueueStress, DestroyingPendingFarEventLeavesNoDanglingEntry)
+{
+    destroyPendingThenRun(100 + 2 * EventQueue::wheelSize,
+                          50 + EventQueue::wheelSize);
 }
 
 TEST(EventQueueStress, PooledCallbacksRecycleAndStayOrdered)

@@ -91,6 +91,16 @@ fi
     exit 1
 }
 
+# The event queue, explicitly under instrumented checking: the
+# differential oracle against a reference ordered set, the stress
+# suite and the destroyed-while-pending regressions. The wheel's
+# intrusive slot unlinks and occupancy-bitmap shifts, and the far
+# heap's removal by index, are what ASan and UBSan check here.
+"$build/tests/test_sim" --gtest_filter='EventQueue*' >/dev/null || {
+    echo "error: event-queue suites failed under asan/ubsan" >&2
+    exit 1
+}
+
 # ---- Out-of-process compaction kill-9: the crash-ordering claim ----
 # VARSIM_STORE_CRASH_COMPACT kills `varsim campaign compact` after the
 # segment file lands but before the manifest points at it — the
