@@ -2,8 +2,8 @@
  * @file
  * Microbenchmarks of the simulator's hot paths (google-benchmark):
  * the event queue, the RNG, tag-array probes, coherence
- * transactions, the statistics kernels, and end-to-end simulated
- * transaction throughput. These quantify the simulator's own cost —
+ * transactions, the statistics kernels, simulation set-up, and
+ * end-to-end simulated transaction throughput. These quantify the simulator's own cost —
  * the paper's motivation for a multiple-short-runs methodology is
  * that simulation is ~24,000x slower than the target (Section 1),
  * so per-event costs decide what experiments are feasible.
@@ -226,6 +226,36 @@ BM_OltpTransactionThroughput(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * 10);
 }
 BENCHMARK(BM_OltpTransactionThroughput)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * Build and destroy one paper-default (16-node) Simulation, the
+ * fixed cost every run of a multiple-simulation experiment pays
+ * before its warm-up. Arg 0: 0 = OLTP, 1 = ECPerf. Arg 1: 1 keeps a
+ * second simulation of the workload live throughout, as the other
+ * clients of a parallel sweep do, so its Zipf tables are shared
+ * instead of rebuilt. After the first iteration the tag arena comes
+ * back from the pool, so this is the steady-state per-run cost.
+ */
+void
+BM_SimulationConstruct(benchmark::State &state)
+{
+    const auto sys = core::SystemConfig::paperDefault();
+    workload::WorkloadParams wl;
+    wl.kind = state.range(0) == 0 ? workload::WorkloadKind::Oltp
+                                  : workload::WorkloadKind::EcPerf;
+    std::unique_ptr<core::Simulation> other;
+    if (state.range(1) != 0)
+        other = std::make_unique<core::Simulation>(sys, wl);
+    for (auto _ : state) {
+        core::Simulation simn(sys, wl);
+        benchmark::DoNotOptimize(&simn);
+    }
+}
+BENCHMARK(BM_SimulationConstruct)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
     ->Unit(benchmark::kMillisecond);
 
 void

@@ -106,9 +106,13 @@ RunResult
 runOnce(const SystemConfig &sys, const workload::WorkloadParams &wl,
         const RunConfig &run)
 {
+    const auto constructT0 = std::chrono::steady_clock::now();
     Simulation simn(sys, wl, run.par);
+    const double constructSec = wallSecondsSince(constructT0);
     simn.seedPerturbation(run.perturbSeed);
-    return measure(simn, run, sys.numCpus());
+    RunResult r = measure(simn, run, sys.numCpus());
+    r.host.constructWallSec = constructSec;
+    return r;
 }
 
 RunResult
@@ -116,9 +120,13 @@ runFromCheckpoint(const SystemConfig &sys,
                   const workload::WorkloadParams &wl,
                   const Checkpoint &cp, const RunConfig &run)
 {
+    const auto constructT0 = std::chrono::steady_clock::now();
     auto simn = Simulation::restore(sys, wl, cp, run.par);
+    const double constructSec = wallSecondsSince(constructT0);
     simn->seedPerturbation(run.perturbSeed);
-    return measure(*simn, run, sys.numCpus());
+    RunResult r = measure(*simn, run, sys.numCpus());
+    r.host.constructWallSec = constructSec;
+    return r;
 }
 
 } // namespace core

@@ -68,6 +68,9 @@ struct RunConfig
  */
 struct HostProfile
 {
+    /** Wall time building the Simulation (restoring it, if from a
+     *  checkpoint); 0 when measure() got a ready-made one. */
+    double constructWallSec = 0.0;
     double warmupWallSec = 0.0;  ///< wall time in the warmup phase
     double measureWallSec = 0.0; ///< wall time in the measure phase
     std::uint64_t eventsDispatched = 0; ///< events in measure phase

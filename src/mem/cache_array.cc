@@ -1,5 +1,6 @@
 #include "mem/cache_array.hh"
 
+#include <bit>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -22,6 +23,16 @@ isPow2(std::size_t x)
 
 CacheArray::CacheArray(std::size_t size_bytes, std::size_t assoc,
                        std::size_t block_bytes)
+    : CacheArray(size_bytes, assoc, block_bytes, nullptr)
+{}
+
+CacheArray::CacheArray(std::size_t size_bytes, std::size_t assoc,
+                       std::size_t block_bytes, TagArena &arena)
+    : CacheArray(size_bytes, assoc, block_bytes, &arena)
+{}
+
+CacheArray::CacheArray(std::size_t size_bytes, std::size_t assoc,
+                       std::size_t block_bytes, TagArena *arena)
     : ways(assoc), blockBytes(block_bytes)
 {
     VARSIM_ASSERT(isPow2(block_bytes), "block size must be a power "
@@ -36,7 +47,33 @@ CacheArray::CacheArray(std::size_t size_bytes, std::size_t assoc,
     while ((std::size_t{1} << blockShift) < blockBytes)
         ++blockShift;
     setMask = sets - 1;
-    lines.resize(sets * ways);
+    const std::size_t bytes = sets * ways * sizeof(CacheLine);
+    if (arena == nullptr) {
+        ownArena = std::make_unique<TagArena>(bytes);
+        arena = ownArena.get();
+    }
+    // Arena bytes are zero, and all-zero bytes are empty lines.
+    lines = {static_cast<CacheLine *>(arena->take(bytes)), sets * ways};
+    dirtySets.resize((sets + 63) / 64);
+}
+
+CacheArray::~CacheArray()
+{
+    clearDirtySets();
+}
+
+void
+CacheArray::clearDirtySets()
+{
+    for (std::size_t w = 0; w < dirtySets.size(); ++w) {
+        for (std::uint64_t m = dirtySets[w]; m != 0; m &= m - 1) {
+            const std::size_t set =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(m));
+            std::memset(static_cast<void *>(&lines[set * ways]), 0,
+                        ways * sizeof(CacheLine));
+        }
+        dirtySets[w] = 0;
+    }
 }
 
 void
@@ -56,7 +93,9 @@ CacheArray::allocate(sim::Addr block_addr, CacheLine &victim)
     // Single pass: take the first free way if one exists, otherwise
     // the true-LRU valid line (strict < keeps the earliest minimum,
     // matching the historical two-scan selection exactly).
-    const std::size_t base = setIndex(block_addr) * ways;
+    const std::size_t set = setIndex(block_addr);
+    const std::size_t base = set * ways;
+    markDirty(set);
     CacheLine *target = nullptr;
     CacheLine *lru = &lines[base];
     for (std::size_t w = 0; w < ways; ++w) {
@@ -85,7 +124,7 @@ void
 CacheArray::invalidate(CacheLine &line)
 {
     line.state = LineState::Invalid;
-    line.blockAddr = sim::invalidAddr;
+    line.blockAddr = 0;
     line.aux = 0;
 }
 
@@ -110,12 +149,14 @@ CacheArray::serialize(sim::CheckpointOut &cp) const
     // object bytes, so serialize a member-wise copy whose padding is
     // zeroed. Otherwise the image would embed whatever the allocator
     // recycled into those bytes, and checkpoints of identical
-    // simulated state would not be bitwise identical.
+    // simulated state would not be bitwise identical. Invalid lines
+    // carry sim::invalidAddr as their tag, as images always have.
     std::vector<CacheLine> clean(lines.size());
     std::memset(static_cast<void *>(clean.data()), 0,
                 clean.size() * sizeof(CacheLine));
     for (std::size_t i = 0; i < lines.size(); ++i) {
-        clean[i].blockAddr = lines[i].blockAddr;
+        clean[i].blockAddr = lines[i].valid() ? lines[i].blockAddr
+                                              : sim::invalidAddr;
         clean[i].state = lines[i].state;
         clean[i].aux = lines[i].aux;
         clean[i].lastUse = lines[i].lastUse;
@@ -143,13 +184,31 @@ CacheArray::unserialize(sim::CheckpointIn &cp)
         // Cached contents are meaningless under the new index
         // function, so start cold; memory is then the owner of
         // every block, which keeps the coherence invariants intact.
-        for (auto &line : lines)
-            line = CacheLine{};
+        clearDirtySets();
         useCounter = 0;
         return;
     }
+    if (restored.size() != lines.size())
+        sim::panic("cache array image holds %zu lines, but its "
+                   "geometry (%llu sets x %llu ways) needs %zu",
+                   restored.size(),
+                   static_cast<unsigned long long>(ck_sets),
+                   static_cast<unsigned long long>(ck_ways),
+                   lines.size());
     useCounter = ck_use;
-    lines = std::move(restored);
+    // Write only lines with content, so untouched sets stay zero and
+    // clean. An invalid line keeps its LRU stamp (images carry it)
+    // but drops the sim::invalidAddr tag the image gave it.
+    clearDirtySets();
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        CacheLine line = restored[i];
+        if (!line.valid() && line.lastUse == 0 && line.aux == 0)
+            continue;
+        if (!line.valid())
+            line.blockAddr = 0;
+        lines[i] = line;
+        markDirty(i / ways);
+    }
 }
 
 } // namespace mem

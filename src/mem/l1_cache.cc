@@ -11,10 +11,10 @@ namespace mem
 
 L1Cache::L1Cache(std::string name, sim::EventQueue &eq,
                  const MemConfig &config, L2Controller &l2_ref,
-                 bool is_icache)
+                 bool is_icache, TagArena &arena)
     : SimObject(std::move(name), eq), cfg(config), l2(l2_ref),
       isICache(is_icache),
-      array(config.l1Size, config.l1Assoc, config.blockBytes)
+      array(config.l1Size, config.l1Assoc, config.blockBytes, arena)
 {}
 
 L1Cache::MshrEntry *

@@ -34,8 +34,10 @@ class L2Controller;
 class L1Cache : public sim::SimObject
 {
   public:
+    /** The tag array is carved from @p arena. */
     L1Cache(std::string name, sim::EventQueue &eq,
-            const MemConfig &cfg, L2Controller &l2, bool is_icache);
+            const MemConfig &cfg, L2Controller &l2, bool is_icache,
+            TagArena &arena);
 
     /** The CPU that receives miss responses. */
     void setClient(MemClient *client) { client_ = client; }
@@ -117,6 +119,9 @@ class L1Cache : public sim::SimObject
 
     /** Outstanding misses (0 when quiescent). */
     std::size_t pendingMisses() const { return mshr.size(); }
+
+    /** Valid lines in the tag array (O(capacity); for tests). */
+    std::size_t validLines() const { return array.countValid(); }
 
     std::uint64_t hits() const { return numHits; }
     std::uint64_t misses() const { return numMisses; }

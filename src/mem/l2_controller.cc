@@ -11,10 +11,11 @@ namespace mem
 
 L2Controller::L2Controller(std::string name, sim::EventQueue &eq,
                            const MemConfig &config,
-                           CoherenceFabric &bus_ref, int node_id)
+                           CoherenceFabric &bus_ref, int node_id,
+                           TagArena &arena)
     : SimObject(std::move(name), eq), cfg(config), bus(bus_ref),
       node(node_id),
-      array(config.l2Size, config.l2Assoc, config.blockBytes)
+      array(config.l2Size, config.l2Assoc, config.blockBytes, arena)
 {}
 
 void

@@ -41,9 +41,10 @@ enum L2AuxBits : std::uint8_t
 class L2Controller : public sim::SimObject
 {
   public:
+    /** The tag array is carved from @p arena. */
     L2Controller(std::string name, sim::EventQueue &eq,
                  const MemConfig &cfg, CoherenceFabric &fabric,
-                 int node_id);
+                 int node_id, TagArena &arena);
 
     /** Wire up this node's L1s (for fills and back-probes). */
     void setL1s(L1Cache *icache, L1Cache *dcache);
@@ -125,6 +126,9 @@ class L2Controller : public sim::SimObject
 
     /** Number of in-flight TBEs (0 when quiescent). */
     std::size_t pendingTransactions() const { return tbes.size(); }
+
+    /** Valid lines in the tag array (O(capacity); for tests). */
+    std::size_t validLines() const { return array.countValid(); }
 
     /** Local hit counter (reads satisfied without the bus). */
     std::uint64_t hits() const { return numHits; }

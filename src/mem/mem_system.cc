@@ -11,7 +11,8 @@ namespace mem
 MemSystem::MemSystem(std::string name, sim::EventQueue &eq,
                      MemConfig config,
                      const std::vector<sim::EventQueue *> *l1_queues)
-    : SimObject(std::move(name), eq), cfg(config), pertRng(0)
+    : SimObject(std::move(name), eq), cfg(config),
+      tagArena(tagArenaBytes(config)), pertRng(0)
 {
     VARSIM_ASSERT(cfg.numNodes >= 1, "need at least one node");
     VARSIM_ASSERT(cfg.numNodes <= maxNodes,
@@ -34,16 +35,28 @@ MemSystem::MemSystem(std::string name, sim::EventQueue &eq,
         auto nodeName = this->name() + sim::format(".node%zu", n);
         l2s.push_back(std::make_unique<L2Controller>(
             nodeName + ".l2", eq, cfg, *fabric_,
-            static_cast<int>(n)));
+            static_cast<int>(n), tagArena));
         sim::EventQueue &l1q =
             l1_queues != nullptr ? *(*l1_queues)[n] : eq;
         icaches.push_back(std::make_unique<L1Cache>(
-            nodeName + ".l1i", l1q, cfg, *l2s.back(), true));
+            nodeName + ".l1i", l1q, cfg, *l2s.back(), true, tagArena));
         dcaches.push_back(std::make_unique<L1Cache>(
-            nodeName + ".l1d", l1q, cfg, *l2s.back(), false));
+            nodeName + ".l1d", l1q, cfg, *l2s.back(), false,
+            tagArena));
         l2s.back()->setL1s(icaches.back().get(), dcaches.back().get());
         fabric_->addNode(l2s.back().get());
     }
+    VARSIM_ASSERT(tagArena.used() == tagArena.size(),
+                  "tag arena sized %zu bytes, caches took %zu",
+                  tagArena.size(), tagArena.used());
+}
+
+std::size_t
+MemSystem::tagArenaBytes(const MemConfig &cfg)
+{
+    return cfg.numNodes *
+           (2 * CacheArray::arenaBytes(cfg.l1Size, cfg.blockBytes) +
+            CacheArray::arenaBytes(cfg.l2Size, cfg.blockBytes));
 }
 
 void

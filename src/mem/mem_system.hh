@@ -16,6 +16,7 @@
 #include "mem/l1_cache.hh"
 #include "mem/l2_controller.hh"
 #include "mem/snoop_bus.hh"
+#include "mem/tag_arena.hh"
 #include "sim/domains.hh"
 #include "sim/random.hh"
 #include "sim/sim_object.hh"
@@ -83,8 +84,17 @@ class MemSystem : public sim::SimObject
     /** Registers the fabric, every cache, and aggregate ratios. */
     void regStats(sim::statistics::Registry &r) override;
 
+    /** Bytes of the arena holding every L1 and L2 tag array. */
+    static std::size_t tagArenaBytes(const MemConfig &cfg);
+
   private:
     MemConfig cfg;
+    /**
+     * Every tag array of the system, carved in construction order.
+     * Declared before the caches, so it outlives them; the
+     * destructor returns it to the pool.
+     */
+    TagArena tagArena;
     sim::Random pertRng;
     std::unique_ptr<SnoopBus> bus_;
     std::unique_ptr<DirectoryFabric> dir_;

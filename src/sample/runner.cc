@@ -115,10 +115,15 @@ runOnce(const core::SystemConfig &sys,
 {
     if (!run.sample.enabled())
         return core::runOnce(sys, wl, run);
+    const auto constructT0 = std::chrono::steady_clock::now();
     core::Simulation simn(sys, wl, run.par);
+    const double constructSec = wallSecondsSince(constructT0);
     simn.seedPerturbation(run.perturbSeed);
-    return measure(simn, run, sys.numCpus(),
-                   librarySink(library, sys, wl, run, simn));
+    core::RunResult r =
+        measure(simn, run, sys.numCpus(),
+                librarySink(library, sys, wl, run, simn));
+    r.host.constructWallSec = constructSec;
+    return r;
 }
 
 core::RunResult
@@ -130,10 +135,15 @@ runFromCheckpoint(const core::SystemConfig &sys,
 {
     if (!run.sample.enabled())
         return core::runFromCheckpoint(sys, wl, cp, run);
+    const auto constructT0 = std::chrono::steady_clock::now();
     auto simn = core::Simulation::restore(sys, wl, cp, run.par);
+    const double constructSec = wallSecondsSince(constructT0);
     simn->seedPerturbation(run.perturbSeed);
-    return measure(*simn, run, sys.numCpus(),
-                   librarySink(library, sys, wl, run, *simn));
+    core::RunResult r =
+        measure(*simn, run, sys.numCpus(),
+                librarySink(library, sys, wl, run, *simn));
+    r.host.constructWallSec = constructSec;
+    return r;
 }
 
 std::vector<core::RunResult>

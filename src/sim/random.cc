@@ -1,7 +1,10 @@
 #include "sim/random.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
 
 #include "sim/logging.hh"
 #include "sim/serialize.hh"
@@ -123,7 +126,7 @@ Random::unserialize(CheckpointIn &cp)
         cp.get(word);
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double alpha)
+ZipfTable::ZipfTable(std::size_t n, double alpha)
 {
     VARSIM_ASSERT(n > 0, "ZipfSampler needs n > 0");
     cdf.resize(n);
@@ -145,9 +148,59 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha)
     }
 }
 
+namespace
+{
+
+/** Tables by (n, bits of alpha); entries expire with their table. */
+struct ZipfRegistry
+{
+    std::mutex mu;
+    std::map<std::pair<std::size_t, std::uint64_t>,
+             std::weak_ptr<const ZipfTable>>
+        tables;
+};
+
+ZipfRegistry &
+zipfRegistry()
+{
+    // Never destroyed: samplers may outlive static destruction.
+    static ZipfRegistry *r = new ZipfRegistry;
+    return *r;
+}
+
+} // anonymous namespace
+
+ZipfSampler::ZipfSampler(std::size_t n, double alpha)
+{
+    const auto key =
+        std::make_pair(n, std::bit_cast<std::uint64_t>(alpha));
+    ZipfRegistry &reg = zipfRegistry();
+    {
+        std::lock_guard<std::mutex> g(reg.mu);
+        auto it = reg.tables.find(key);
+        if (it != reg.tables.end() && (table_ = it->second.lock()))
+            return;
+    }
+    // Built outside the lock; if another thread published the same
+    // table meanwhile, adopt theirs so every holder shares one.
+    auto built = std::make_shared<const ZipfTable>(n, alpha);
+    std::lock_guard<std::mutex> g(reg.mu);
+    std::erase_if(reg.tables,
+                  [](const auto &e) { return e.second.expired(); });
+    std::weak_ptr<const ZipfTable> &slot = reg.tables[key];
+    table_ = slot.lock();
+    if (!table_) {
+        table_ = std::move(built);
+        slot = table_;
+    }
+}
+
 std::size_t
 ZipfSampler::sample(Random &rng) const
 {
+    const std::vector<double> &cdf = table_->cdf;
+    const std::vector<std::uint32_t> &hint = table_->hint;
+    constexpr std::size_t kHintBuckets = ZipfTable::kHintBuckets;
     const double u = rng.uniformReal();
     // lower_bound(u) lies in [hint[b], hint[b+1]] for u's bucket b,
     // because u < (b + 1) / kHintBuckets and lower_bound is monotone.

@@ -20,6 +20,7 @@
 #define VARSIM_SIM_RANDOM_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace varsim
@@ -104,10 +105,38 @@ class Random
 };
 
 /**
+ * The immutable lookup table of a Zipf(n, alpha) distribution: its
+ * CDF plus a bucketized first-probe index into it.
+ */
+struct ZipfTable
+{
+    ZipfTable(std::size_t n, double alpha);
+
+    std::vector<double> cdf;
+
+    /**
+     * Bucketized first-probe index: hint[b] is the lower_bound of
+     * b / kHintBuckets in @ref cdf, so a draw only searches the
+     * (usually tiny) subrange between two adjacent hints instead of
+     * the whole CDF. Pure lookup acceleration — the mapping from a
+     * uniform draw to a rank is identical to a full binary search,
+     * so op streams (and every golden pinned to them) are unchanged.
+     */
+    static constexpr std::size_t kHintBuckets = 4096;
+    std::vector<std::uint32_t> hint;
+};
+
+/**
  * Zipf-distributed sampler over {0, ..., n-1} with skew parameter
  * alpha, using a precomputed CDF and binary search. The CDF is derived
  * from (n, alpha) at construction, so only the underlying generator's
  * state needs checkpointing.
+ *
+ * Samplers of equal (n, alpha) share one ZipfTable through a
+ * process-wide registry of weak references: a table is built when
+ * no live sampler holds it and freed with its last holder, so
+ * memory never exceeds one copy per live simulation and draws are
+ * those of a freshly built table.
  *
  * Commercial-workload record popularity is famously Zipfian; the
  * resulting hot records create the lock and coherence contention that
@@ -122,21 +151,17 @@ class ZipfSampler
     std::size_t sample(Random &rng) const;
 
     /** Number of categories. */
-    std::size_t size() const { return cdf.size(); }
+    std::size_t size() const { return table_->cdf.size(); }
+
+    /** The shared table (tests: identity and lifetime). */
+    const std::shared_ptr<const ZipfTable> &
+    table() const
+    {
+        return table_;
+    }
 
   private:
-    std::vector<double> cdf;
-
-    /**
-     * Bucketized first-probe index: hint[b] is the lower_bound of
-     * b / kHintBuckets in @ref cdf, so a draw only searches the
-     * (usually tiny) subrange between two adjacent hints instead of
-     * the whole CDF. Pure lookup acceleration — the mapping from a
-     * uniform draw to a rank is identical to a full binary search,
-     * so op streams (and every golden pinned to them) are unchanged.
-     */
-    static constexpr std::size_t kHintBuckets = 4096;
-    std::vector<std::uint32_t> hint;
+    std::shared_ptr<const ZipfTable> table_;
 };
 
 } // namespace sim

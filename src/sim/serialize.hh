@@ -48,8 +48,7 @@ class CheckpointOut
                       "CheckpointOut::put requires a trivially "
                       "copyable type");
         putTag(sizeof(T));
-        const auto *p = reinterpret_cast<const std::uint8_t *>(&value);
-        buffer.insert(buffer.end(), p, p + sizeof(T));
+        append(&value, sizeof(T));
     }
 
     /** Write a string (length-prefixed). */
@@ -58,9 +57,7 @@ class CheckpointOut
     {
         putTag(0xff);
         put<std::uint64_t>(value.size());
-        const auto *p =
-            reinterpret_cast<const std::uint8_t *>(value.data());
-        buffer.insert(buffer.end(), p, p + value.size());
+        append(value.data(), value.size());
     }
 
     /** Write a vector of trivially copyable elements. */
@@ -72,9 +69,7 @@ class CheckpointOut
                       "vector element must be trivially copyable");
         putTag(0xfe);
         put<std::uint64_t>(values.size());
-        const auto *p =
-            reinterpret_cast<const std::uint8_t *>(values.data());
-        buffer.insert(buffer.end(), p, p + values.size() * sizeof(T));
+        append(values.data(), values.size() * sizeof(T));
     }
 
     /** Write a deque of trivially copyable elements. */
@@ -99,6 +94,22 @@ class CheckpointOut
     putTag(std::uint8_t tag)
     {
         buffer.push_back(tag);
+    }
+
+    /**
+     * Append @p n raw bytes. resize + memcpy rather than a ranged
+     * insert: GCC 12 cannot see the insert's source bound through
+     * the inlining into Simulation::checkpoint and warns
+     * -Wstringop-overread.
+     */
+    void
+    append(const void *p, std::size_t n)
+    {
+        if (n == 0)
+            return;
+        const std::size_t at = buffer.size();
+        buffer.resize(at + n);
+        std::memcpy(buffer.data() + at, p, n);
     }
 
     std::vector<std::uint8_t> buffer;

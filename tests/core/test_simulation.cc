@@ -14,7 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/varsim.hh"
+#include "mem/tag_arena.hh"
+#include "sample/runner.hh"
 
 namespace varsim
 {
@@ -48,6 +52,63 @@ quickRun(std::uint64_t seed)
     r.measureTxns = 40;
     r.perturbSeed = seed;
     return r;
+}
+
+// A recycled tag arena is indistinguishable from a fresh mapping:
+// the second run takes back the first's dirty arena, zeroed on
+// acquisition, and reproduces the fresh run bit for bit.
+TEST(TagArenaReuse, RunMatchesTheSameRunInAFreshArena)
+{
+    mem::TagArena::trimPool();
+    const auto s0 = mem::TagArena::poolStats();
+    const RunResult fresh =
+        runOnce(smallSys(), smallOltp(), quickRun(7));
+    const auto s1 = mem::TagArena::poolStats();
+    EXPECT_EQ(s1.mapped, s0.mapped + 1);
+    const RunResult reused =
+        runOnce(smallSys(), smallOltp(), quickRun(7));
+    EXPECT_EQ(mem::TagArena::poolStats().reused, s1.reused + 1);
+    EXPECT_EQ(fresh.cyclesPerTxn, reused.cyclesPerTxn);
+    EXPECT_EQ(fresh.runtimeTicks, reused.runtimeTicks);
+    EXPECT_EQ(fresh.statsJsonl(), reused.statsJsonl());
+}
+
+// Cache arrays hand their arena back all zero by zeroing the sets
+// they wrote, so a recycled arena needs no memset. Checked on every
+// path that writes tags: timed runs, functional warming (sampled
+// runs) and checkpoint restore. The newest released arena of a size
+// is the next one acquired, so the arena probed is the run's own.
+TEST(TagArenaReuse, RunsHandTheirArenaBackZero)
+{
+    const SystemConfig sys = smallSys();
+    const std::size_t bytes = mem::MemSystem::tagArenaBytes(sys.mem);
+    auto expectZeroArena = [&](const char *what) {
+        mem::TagArena arena(bytes);
+        const auto *p = static_cast<const std::uint8_t *>(
+            arena.take(bytes));
+        const std::size_t nonzero = static_cast<std::size_t>(
+            std::count_if(p, p + bytes,
+                          [](std::uint8_t b) { return b != 0; }));
+        EXPECT_EQ(nonzero, 0u) << what;
+    };
+
+    runOnce(sys, smallOltp(), quickRun(3));
+    expectZeroArena("timed run");
+
+    RunConfig sampled = quickRun(4);
+    sampled.measureTxns = 200;
+    ASSERT_TRUE(SampleConfig::parse("systematic:100:10:20",
+                                    sampled.sample));
+    sample::runOnce(sys, smallOltp(), sampled);
+    expectZeroArena("sampled run");
+
+    Simulation warm(sys, smallOltp());
+    warm.runTransactions(20);
+    const Checkpoint cp = warm.checkpoint();
+    RunConfig fromCp = quickRun(5);
+    fromCp.warmupTxns = 0;
+    runFromCheckpoint(sys, smallOltp(), cp, fromCp);
+    expectZeroArena("restored run");
 }
 
 TEST(Simulation, SameSeedIsBitIdentical)

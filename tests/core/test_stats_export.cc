@@ -4,7 +4,8 @@
  * is byte-stable across identical runs, collecting it is
  * timing-neutral (the golden pins hold with stats dumped, and
  * dumping never advances a tick), its values agree with the harness's
- * own aggregate counters, and the host profile is populated.
+ * own aggregate counters, and the host profile is populated (each
+ * runner times construction, warm-up and measurement apart).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cmath>
 
 #include "core/varsim.hh"
+#include "sample/runner.hh"
 #include "sim/jsonl.hh"
 
 namespace
@@ -168,10 +170,42 @@ TEST(StatsExport, HostProfileIsPopulated)
     const auto sys = exportSys();
     const auto r = core::runOnce(sys, exportWl(), exportRun(11));
     EXPECT_GT(r.host.eventsDispatched, 0u);
+    EXPECT_GT(r.host.constructWallSec, 0.0);
     EXPECT_GE(r.host.warmupWallSec, 0.0);
     EXPECT_GT(r.host.measureWallSec, 0.0);
     EXPECT_GT(r.host.eventsPerSec, 0.0);
     EXPECT_GT(r.host.hostMips, 0.0);
+}
+
+TEST(StatsExport, EveryRunnerTimesConstruction)
+{
+    const auto sys = exportSys();
+    const auto wl = exportWl();
+
+    core::Simulation warm(sys, wl);
+    warm.runTransactions(10);
+    const core::Checkpoint cp = warm.checkpoint();
+    core::RunConfig fromCp = exportRun(12);
+    fromCp.warmupTxns = 0;
+    const auto restored = core::runFromCheckpoint(sys, wl, cp, fromCp);
+    EXPECT_GT(restored.host.constructWallSec, 0.0);
+    EXPECT_GT(restored.host.measureWallSec, 0.0);
+
+    core::RunConfig sampled = exportRun(13);
+    sampled.measureTxns = 200;
+    ASSERT_TRUE(core::SampleConfig::parse("systematic:100:10:20",
+                                          sampled.sample));
+    const auto s = sample::runOnce(sys, wl, sampled);
+    ASSERT_TRUE(s.sampled.enabled);
+    EXPECT_GT(s.host.constructWallSec, 0.0);
+    EXPECT_GT(s.host.measureWallSec, 0.0);
+    const auto sr = sample::runFromCheckpoint(sys, wl, cp, sampled);
+    EXPECT_GT(sr.host.constructWallSec, 0.0);
+
+    // measure() on a ready-made simulation has nothing to time.
+    core::Simulation ready(sys, wl);
+    const auto m = core::measure(ready, exportRun(14), sys.numCpus());
+    EXPECT_EQ(m.host.constructWallSec, 0.0);
 }
 
 } // anonymous namespace

@@ -156,6 +156,76 @@ TEST(CacheArray, MismatchedGeometryRestoresCold)
     EXPECT_TRUE(in.exhausted()) << "archive fully consumed";
 }
 
+TEST(CacheArray, BlockZeroIsFoundBesideZeroTagEmptyWays)
+{
+    // 4-way, 4 sets: blocks 0, 256, 512 share set 0. An empty way's
+    // bytes are all zero, so its tag equals block 0's; the lookup
+    // must pass over it to the valid copy of block 0 further on.
+    CacheArray a(1024, 4, 64);
+    CacheLine victim;
+    for (sim::Addr addr : {256, 0, 512}) {
+        auto [line, _] = a.allocate(addr, victim);
+        line->state = LineState::Shared;
+    }
+    CacheLine *first = a.find(256);
+    ASSERT_NE(first, nullptr);
+    a.invalidate(*first); // way 0 is now an empty zero-tag way
+    EXPECT_EQ(first->blockAddr, 0u);
+    CacheLine *zero = a.find(0);
+    ASSERT_NE(zero, nullptr);
+    EXPECT_EQ(zero->state, LineState::Shared);
+    EXPECT_EQ(a.find(256), nullptr);
+    EXPECT_EQ(a.countValid(), 2u);
+}
+
+TEST(CacheArray, ImagesKeepInvalidAddrForEmptyWays)
+{
+    // Empty ways are zero in memory but sim::invalidAddr in an image,
+    // as images have always had them, so old images restore and new
+    // ones are byte-identical to the old format.
+    CacheArray a(256, 2, 64);
+    CacheLine victim;
+    auto [line, _] = a.allocate(0, victim);
+    line->state = LineState::Modified;
+    sim::CheckpointOut out;
+    a.serialize(out);
+
+    sim::CheckpointIn in(out.bytes());
+    std::uint64_t hdr[4];
+    for (auto &h : hdr)
+        in.get(h);
+    std::vector<CacheLine> image;
+    in.get(image);
+    ASSERT_EQ(image.size(), 4u);
+    EXPECT_EQ(image[0].blockAddr, 0u);
+    EXPECT_EQ(image[0].state, LineState::Modified);
+    for (std::size_t i = 1; i < image.size(); ++i) {
+        EXPECT_EQ(image[i].blockAddr, sim::invalidAddr);
+        EXPECT_EQ(image[i].state, LineState::Invalid);
+    }
+
+    CacheArray b(256, 2, 64);
+    sim::CheckpointIn back(out.bytes());
+    b.unserialize(back);
+    ASSERT_NE(b.find(0), nullptr);
+    EXPECT_EQ(b.countValid(), 1u);
+}
+
+TEST(CacheArrayDeathTest, ShortImageIsRejected)
+{
+    // Hand-made image: the geometry header matches (1024 B, 2-way,
+    // 64 B blocks = 8 sets x 2 ways) but only 3 lines follow.
+    sim::CheckpointOut out;
+    out.put<std::uint64_t>(8);
+    out.put<std::uint64_t>(2);
+    out.put<std::uint64_t>(64);
+    out.put<std::uint64_t>(0);
+    out.put(std::vector<CacheLine>(3));
+    CacheArray a(1024, 2, 64);
+    sim::CheckpointIn in(out.bytes());
+    EXPECT_DEATH(a.unserialize(in), "holds 3 lines.*needs 16");
+}
+
 TEST(CacheArray, StateHelpers)
 {
     EXPECT_TRUE(isOwnerState(LineState::Modified));

@@ -491,6 +491,32 @@ TEST_F(MemSystemTest, IFetchUsesICache)
     EXPECT_EQ(ms->l2(0).snoopState(0x80000), LineState::Shared);
 }
 
+TEST_F(MemSystemTest, ReusedTagArenaStartsEmpty)
+{
+    const MemConfig cfg = smallConfig();
+    build(cfg);
+    for (sim::Addr a = 0; a < 96 * 64; a += 64)
+        accessAndWait((a / 64) % cfg.numNodes, a, (a / 64) % 3 == 0);
+    std::size_t dirty = 0;
+    for (std::size_t n = 0; n < cfg.numNodes; ++n)
+        dirty += ms->l2(n).validLines() + ms->dcache(n).validLines();
+    ASSERT_GT(dirty, 0u);
+
+    // The next system of this shape takes the released arena back.
+    clients.clear();
+    ms.reset();
+    const auto before = TagArena::poolStats();
+    build(cfg);
+    EXPECT_EQ(TagArena::poolStats().reused, before.reused + 1);
+    for (std::size_t n = 0; n < cfg.numNodes; ++n) {
+        EXPECT_EQ(ms->icache(n).validLines(), 0u) << "node " << n;
+        EXPECT_EQ(ms->dcache(n).validLines(), 0u) << "node " << n;
+        EXPECT_EQ(ms->l2(n).validLines(), 0u) << "node " << n;
+    }
+    EXPECT_EQ(ms->l2(0).snoopState(0), LineState::Invalid);
+    EXPECT_GT(accessAndWait(0, 0, false), 0u) << "block 0 misses";
+}
+
 } // namespace
 } // namespace mem
 } // namespace varsim

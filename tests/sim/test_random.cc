@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "sim/random.hh"
 #include "sim/serialize.hh"
 
@@ -163,6 +170,81 @@ TEST(ZipfSampler, AlphaZeroIsUniform)
         ++buckets[z.sample(r)];
     for (int count : buckets)
         EXPECT_NEAR(count, n / 10, n / 50);
+}
+
+TEST(ZipfSampler, SamplersOfOneShapeShareOneTable)
+{
+    ZipfSampler a(5000, 0.9), b(5000, 0.9);
+    EXPECT_EQ(a.table(), b.table());
+    EXPECT_EQ(a.table().use_count(), 2);
+    EXPECT_NE(ZipfSampler(5000, 0.8).table(), a.table());
+    EXPECT_NE(ZipfSampler(4999, 0.9).table(), a.table());
+    ZipfSampler copy = a;
+    EXPECT_EQ(copy.table(), a.table());
+}
+
+TEST(ZipfSampler, TableIsFreedWithItsLastHolder)
+{
+    std::weak_ptr<const ZipfTable> table;
+    {
+        ZipfSampler a(3000, 1.1);
+        table = a.table();
+        {
+            ZipfSampler b(3000, 1.1);
+            EXPECT_EQ(b.table(), table.lock());
+        }
+        EXPECT_FALSE(table.expired()) << "a still holds it";
+    }
+    EXPECT_TRUE(table.expired());
+    // The next sampler of that shape builds a new table.
+    ZipfSampler c(3000, 1.1);
+    EXPECT_EQ(c.table().use_count(), 1);
+}
+
+TEST(ZipfSampler, SharedDrawsMatchAFreshlyBuiltTable)
+{
+    const std::size_t n = 20000;
+    const double alpha = 0.95;
+    ZipfSampler holder(n, alpha);
+    ZipfSampler shared(n, alpha);
+    ASSERT_EQ(shared.table(), holder.table());
+    // Reference: a table built here, searched in full.
+    const ZipfTable fresh(n, alpha);
+    Random r1(43), r2(43);
+    for (int i = 0; i < 20000; ++i) {
+        const double u = r2.uniformReal();
+        const auto it =
+            std::lower_bound(fresh.cdf.begin(), fresh.cdf.end(), u);
+        const std::size_t want =
+            it == fresh.cdf.end()
+                ? n - 1
+                : static_cast<std::size_t>(it - fresh.cdf.begin());
+        ASSERT_EQ(shared.sample(r1), want) << "draw " << i;
+    }
+}
+
+TEST(ZipfSampler, ConcurrentSamplersShareOneTable)
+{
+    ZipfSampler holder(8000, 0.7);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            Random r(static_cast<std::uint64_t>(t));
+            for (int i = 0; i < 50; ++i) {
+                ZipfSampler mine(8000, 0.7);
+                ZipfSampler other(100 + static_cast<std::size_t>(i % 3),
+                                  0.5);
+                if (mine.table() != holder.table())
+                    ++mismatches;
+                (void)mine.sample(r);
+                (void)other.sample(r);
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(mismatches.load(), 0);
 }
 
 } // namespace

@@ -101,6 +101,22 @@ fi
     exit 1
 }
 
+# The recycled tag storage and the shared Zipf tables, explicitly
+# under instrumented checking: tag arrays live in raw zero-filled
+# arena bytes, so ASan sees them only through the arena's manual
+# poisoning (untaken and released bytes fault), the short-image
+# death test proves a truncated line vector is rejected before it is
+# copied, and UBSan checks the zero-byte lines read as CacheLines.
+for t in test_mem test_sim test_core; do
+    "$build/tests/$t" \
+        --gtest_filter='CacheArray*:TagArena*:MemSystemTest.*:ZipfSampler*' \
+        >/dev/null || {
+        echo "error: tag-arena/zipf suites failed under asan/ubsan" \
+            "($t)" >&2
+        exit 1
+    }
+done
+
 # ---- Out-of-process compaction kill-9: the crash-ordering claim ----
 # VARSIM_STORE_CRASH_COMPACT kills `varsim campaign compact` after the
 # segment file lands but before the manifest points at it — the
@@ -147,7 +163,10 @@ echo "tier-1 suite clean under address,undefined sanitizers;" \
 # end-to-end matrix (threads 1, 2, 4 and 8, including the
 # ParallelGoldenSampled sampling-under-parallelism pin). The
 # engine's claim is that workers synchronize exclusively through the
-# round barrier — TSan proves the absence of any side channel.
+# round barrier — TSan proves the absence of any side channel. The
+# process-wide pools ride along: the tag-arena pool (4 threads
+# building 8- and 16-node memory systems) and the Zipf table
+# registry (4 threads sharing one table).
 cmake -S "$repo" -B "$tsan_build" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DVARSIM_SANITIZE=thread
@@ -155,9 +174,9 @@ cmake -S "$repo" -B "$tsan_build" \
 # bare name is the header-only INTERFACE library, which Makefile
 # generators have no build rule for.
 cmake --build "$tsan_build" -j "$jobs" \
-    --target test_sim test_core test_serve varsim_cli
+    --target test_sim test_mem test_core test_serve varsim_cli
 
-for t in test_sim test_core test_serve; do
+for t in test_sim test_mem test_core test_serve; do
     [ -x "$tsan_build/tests/$t" ] || {
         echo "error: $tsan_build/tests/$t was not built" >&2
         exit 1
@@ -166,9 +185,10 @@ done
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir "$tsan_build" --output-on-failure -j "$jobs" \
-    -R 'InlineFn|DomainRouter|DomainScheduler|ParallelGolden|ParallelStress'
+    -R 'InlineFn|DomainRouter|DomainScheduler|ParallelGolden|ParallelStress|TagArena|ZipfSampler'
 
-echo "domained engine clean under thread sanitizer"
+echo "domained engine, tag-arena pool and Zipf registry clean under" \
+    "thread sanitizer"
 
 # ---- Service soak: the serve daemon's data-race + crash gate ----
 # Phase 1, in-process under TSan: the scheduler/daemon suites plus

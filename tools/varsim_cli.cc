@@ -428,16 +428,21 @@ cmdRun(const Args &args)
             std::fprintf(out, "%s\n", r.statsJsonl().c_str());
         if (out != stdout)
             std::fclose(out);
-        double wall = 0.0, mips = 0.0;
+        double construct = 0.0, warmup = 0.0, measure = 0.0;
+        double mips = 0.0;
         std::uint64_t events = 0;
         for (const auto &r : results) {
-            wall += r.host.warmupWallSec + r.host.measureWallSec;
+            construct += r.host.constructWallSec;
+            warmup += r.host.warmupWallSec;
+            measure += r.host.measureWallSec;
             events += r.host.eventsDispatched;
             mips += r.host.hostMips;
         }
-        std::printf("host: %.2fs total wall, %llu events "
+        std::printf("host: %.2fs total wall (construct %.3fs, warm-up "
+                    "%.2fs, measure %.2fs), %llu events "
                     "dispatched, %.1f MIPS mean per run\n",
-                    wall,
+                    construct + warmup + measure, construct, warmup,
+                    measure,
                     static_cast<unsigned long long>(events),
                     results.empty()
                         ? 0.0
