@@ -107,7 +107,7 @@ runOnce(const SystemConfig &sys, const workload::WorkloadParams &wl,
         const RunConfig &run)
 {
     const auto constructT0 = std::chrono::steady_clock::now();
-    Simulation simn(sys, wl, run.par);
+    Simulation simn(sys, wl);
     const double constructSec = wallSecondsSince(constructT0);
     simn.seedPerturbation(run.perturbSeed);
     RunResult r = measure(simn, run, sys.numCpus());
@@ -121,7 +121,7 @@ runFromCheckpoint(const SystemConfig &sys,
                   const Checkpoint &cp, const RunConfig &run)
 {
     const auto constructT0 = std::chrono::steady_clock::now();
-    auto simn = Simulation::restore(sys, wl, cp, run.par);
+    auto simn = Simulation::restore(sys, wl, cp);
     const double constructSec = wallSecondsSince(constructT0);
     simn->seedPerturbation(run.perturbSeed);
     RunResult r = measure(*simn, run, sys.numCpus());

@@ -73,7 +73,7 @@ SnoopBus::snoop(BusMsg msg)
         return;
     }
 
-    const int ownerNode = snoopHolders(msg, false);
+    const int ownerNode = snoopHolders(msg);
 
     ++stats_.l2Misses;
     const bool writable = msg.cmd == BusCmd::GetM;
@@ -101,24 +101,17 @@ SnoopBus::snoop(BusMsg msg)
     busy.insert(msg.blockAddr);
     L2Controller *requestor = nodes[src];
     const sim::Addr block = msg.blockAddr;
-    // Reach: the fill completes node `src`'s miss — responses and
-    // victim back-probes go to that node's own domain immediately,
-    // while anything it triggers toward other nodes (a writeback or
-    // prefetch it issues) first waits the bus's network traversal
-    // before the resulting snoop broadcasts.
     callIn(
         dataDelay,
         [this, requestor, block, writable] {
             busy.erase(block);
             requestor->fillArrived(block, writable);
         },
-        sim::Event::memoryResponsePri,
-        sim::SendReach{static_cast<sim::DomainId>(1 + src), 0,
-                       cfg.netTraversal});
+        sim::Event::memoryResponsePri);
 }
 
 int
-SnoopBus::snoopHolders(const BusMsg &msg, bool warm)
+SnoopBus::snoopHolders(const BusMsg &msg)
 {
     // Only nodes in the holder mask can hold a valid copy; every
     // other node's tag walk would find nothing and change nothing.
@@ -140,9 +133,7 @@ SnoopBus::snoopHolders(const BusMsg &msg, bool warm)
     int ownerNode = -1;
     for (std::uint64_t m = walk; m != 0; m &= m - 1) {
         const auto n = static_cast<std::size_t>(std::countr_zero(m));
-        const LineState s =
-            warm ? nodes[n]->warmSnoop(msg, n != src)
-                 : nodes[n]->snoopAndHandle(msg, n != src);
+        const LineState s = nodes[n]->snoopAndHandle(msg, n != src);
         if (isOwnerState(s)) {
             VARSIM_ASSERT(ownerNode == -1,
                           "two owners for block %#llx",
@@ -171,7 +162,7 @@ SnoopBus::warmTransition(int src, sim::Addr block, bool writable)
     // does that), so the stable coherence state a later detailed
     // interval sees is the state a real execution would have
     // produced.
-    const int ownerNode = snoopHolders(msg, true);
+    const int ownerNode = snoopHolders(msg);
 
     ++stats_.busTransactions;
     ++stats_.l2Misses;

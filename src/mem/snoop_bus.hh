@@ -50,8 +50,7 @@ class L2Controller;
  * On the host, snoop() and warmTransition() walk only the nodes set
  * in the block's holder mask (holdersOf), in ascending node id — the
  * order a walk over every node would visit them in — so back-probes
- * and router sends fire in the same order and with the same sequence
- * numbers. The mask is host-side bookkeeping, not a modelled snoop
+ * fire in the same order and with the same sequence numbers. The mask is host-side bookkeeping, not a modelled snoop
  * filter: it costs no time, adds no statistic and is never
  * checkpointed (postRestore rebuilds it from the cache tags).
  */
@@ -106,11 +105,11 @@ class SnoopBus : public sim::SimObject, public CoherenceFabric
 
     /**
      * The order point of a granted GetS/GetM: update the holder mask
-     * and apply the snoop transitions on every node it names (timed
-     * snoopAndHandle, or warmSnoop when @p warm). Returns the
-     * pre-transition owner node, or -1 when memory owns the block.
+     * and apply the snoop transitions (snoopAndHandle) on every node
+     * it names. Returns the pre-transition owner node, or -1 when
+     * memory owns the block.
      */
-    int snoopHolders(const BusMsg &msg, bool warm);
+    int snoopHolders(const BusMsg &msg);
 
     const MemConfig &cfg;
     sim::Random &pertRng;

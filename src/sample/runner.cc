@@ -116,7 +116,7 @@ runOnce(const core::SystemConfig &sys,
     if (!run.sample.enabled())
         return core::runOnce(sys, wl, run);
     const auto constructT0 = std::chrono::steady_clock::now();
-    core::Simulation simn(sys, wl, run.par);
+    core::Simulation simn(sys, wl);
     const double constructSec = wallSecondsSince(constructT0);
     simn.seedPerturbation(run.perturbSeed);
     core::RunResult r =
@@ -136,7 +136,7 @@ runFromCheckpoint(const core::SystemConfig &sys,
     if (!run.sample.enabled())
         return core::runFromCheckpoint(sys, wl, cp, run);
     const auto constructT0 = std::chrono::steady_clock::now();
-    auto simn = core::Simulation::restore(sys, wl, cp, run.par);
+    auto simn = core::Simulation::restore(sys, wl, cp);
     const double constructSec = wallSecondsSince(constructT0);
     simn->seedPerturbation(run.perturbSeed);
     core::RunResult r =

@@ -1,6 +1,7 @@
 #include "serve/schema.hh"
 
 #include <cstdlib>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -54,10 +55,6 @@ encodeSubmission(const Submission &sub)
     w.field("tpc", f.threadsPerCpu);
     w.field("warmup", f.warmupTxns);
     w.field("txns", f.measureTxns);
-    w.field("intra_threads", f.intraThreads);
-    w.field("lookahead",
-            sim::format("%lld",
-                        static_cast<long long>(f.lookahead)));
     w.field("sample", f.sample);
     w.field("sample_offset_seed", f.sampleOffsetSeed);
     w.field("seed", f.baseSeed);
@@ -109,6 +106,18 @@ decodeSubmission(const JsonLine &obj, Submission &out,
     if (out.fingerprintHex.empty())
         return fail("submission carries no spec fingerprint");
 
+    // Knobs of the retired intra-run engine. Older clients (and
+    // journaled submissions) send them at their defaults, which mean
+    // "off"; any other value asks for something no longer there.
+    for (const auto &[key, off] : {std::pair{"intra_threads", "0"},
+                                   std::pair{"lookahead", "-1"}}) {
+        if (obj.has(key) && obj.str(key) != off)
+            return fail(sim::format(
+                "field '%s' is no longer supported (intra-run "
+                "parallelism was removed; only '%s' is accepted)",
+                key, off));
+    }
+
     campaign::SpecFields f;
     for (const std::string &kv : obj.list("base")) {
         const auto eq = kv.find('=');
@@ -123,10 +132,6 @@ decodeSubmission(const JsonLine &obj, Submission &out,
     f.threadsPerCpu = obj.num("tpc", f.threadsPerCpu);
     f.warmupTxns = obj.num("warmup", f.warmupTxns);
     f.measureTxns = obj.num("txns", f.measureTxns);
-    f.intraThreads = obj.num("intra_threads", f.intraThreads);
-    f.lookahead = static_cast<std::int64_t>(
-        std::strtoll(obj.str("lookahead", "-1").c_str(), nullptr,
-                     10));
     f.sample = obj.str("sample", f.sample);
     f.sampleOffsetSeed =
         obj.num("sample_offset_seed", f.sampleOffsetSeed);

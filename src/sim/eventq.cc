@@ -90,20 +90,6 @@ EventQueue::schedule(Event *ev, Tick when)
     else
         pushEntry({when, ev->priority(), ev->seq_, ev});
     ++numPending;
-    ++mutations_;
-    if (ev->reach_.annotated()) {
-        ev->annPos_ = static_cast<std::uint32_t>(annIdx_.size());
-        annIdx_.push_back(ev);
-    }
-}
-
-void
-EventQueue::unindexAnnotated(Event *ev)
-{
-    Event *last = annIdx_.back();
-    annIdx_[ev->annPos_] = last;
-    last->annPos_ = ev->annPos_;
-    annIdx_.pop_back();
 }
 
 void
@@ -119,9 +105,6 @@ EventQueue::deschedule(Event *ev)
     ev->scheduled_ = false;
     ev->queue_ = nullptr;
     --numPending;
-    ++mutations_;
-    if (ev->reach_.annotated())
-        unindexAnnotated(ev);
 }
 
 void
@@ -235,9 +218,6 @@ EventQueue::dispatch(Event *ev)
     ev->scheduled_ = false;
     ev->queue_ = nullptr;
     --numPending;
-    ++mutations_;
-    if (ev->reach_.annotated())
-        unindexAnnotated(ev);
     ++dispatched;
     ev->process();
 }
@@ -260,51 +240,6 @@ EventQueue::step()
     Event *ev = popNext(maxTick);
     VARSIM_ASSERT(ev != nullptr, "step() on empty event queue");
     dispatch(ev);
-}
-
-Tick
-EventQueue::minUnannotatedTick() const
-{
-    Tick best = maxTick;
-    // Wheel first, slot by slot in tick order: the first slot holding
-    // an unannotated event is the wheel's answer.
-    for (Tick t = wheelNextFrom(curTick_); t != maxTick;
-         t = wheelNextFrom(t + 1)) {
-        for (const Event *ev = slots[t & wheelMask].head; ev != nullptr;
-             ev = ev->next_) {
-            if (!ev->reach_.annotated()) {
-                best = t;
-                break;
-            }
-        }
-        if (best != maxTick)
-            break;
-    }
-    minUnannotatedFrom(0, best);
-    return best;
-}
-
-void
-EventQueue::minUnannotatedFrom(std::size_t i, Tick &best) const
-{
-    if (i >= heap.size())
-        return;
-    const HeapEntry &e = heap[i];
-    // Structural heap order: every entry in this subtree has
-    // when >= e.when, so nothing below can beat the current best.
-    if (e.when >= best)
-        return;
-    if (!e.ev->reach_.annotated()) {
-        // Unannotated: take it, and prune the subtree (the children
-        // are no earlier than this entry).
-        best = e.when;
-        return;
-    }
-    // Annotated: the entry itself does not count, but unannotated
-    // descendants might still beat best.
-    const std::size_t first = 4 * i + 1;
-    for (std::size_t c = first; c < first + 4; ++c)
-        minUnannotatedFrom(c, best);
 }
 
 // A 4-ary heap: half the depth of a binary heap and the four

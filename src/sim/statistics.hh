@@ -111,8 +111,8 @@ class Registry
      * host machine (wall-clock timings, thread counts), not on
      * simulated state. Host metrics are excluded from the default
      * dump() so recorded per-run stats stay bit-identical across
-     * hosts and --threads values; pass includeHost = true to see
-     * them (diagnostic reports, `sim.par.host.*`).
+     * hosts; pass includeHost = true to see them (diagnostic
+     * reports).
      */
     void regHostFormula(const std::string &name,
                         std::function<double()> fn,

@@ -215,6 +215,54 @@ TEST(ResultStore, MetricsRecordsRoundTrip)
               names.end());
 }
 
+// Stores written while the intra-run engine existed carry its
+// sim.par.* counters in each run's metrics dump; new runs do not.
+// Such a store resumes, and reports as an uninterrupted one does.
+TEST(ResultStore, RecordsWithRetiredParMetricsStillResume)
+{
+    CampaignSpec spec;
+    spec.configs = {{"small",
+                     varsim::core::SystemConfig::testDefault()}};
+    spec.run.warmupTxns = 5;
+    spec.run.measureTxns = 20;
+    spec.stop.fixedRuns = 3;
+    const std::string reference = freshDir("par_reference");
+    runCampaign(spec, reference);
+
+    const std::string old = freshDir("par_old");
+    CampaignOptions opt;
+    opt.hostThreads = 1;
+    opt.interruptAfter = 2;
+    ASSERT_TRUE(runCampaign(spec, old, opt).interrupted);
+    std::ifstream in(old + "/manifest.jsonl");
+    std::string line, text;
+    while (std::getline(in, line)) {
+        if (line.find("\"type\":\"metrics\"") != std::string::npos)
+            line.insert(line.size() - 1, ",\"m:sim.par.rounds\":0"
+                                         ",\"m:sim.par.serial_rounds\":0");
+        text += line + "\n";
+    }
+    std::ofstream(old + "/manifest.jsonl", std::ios::trunc) << text;
+
+    EXPECT_EQ(runCampaign(spec, old).runsExecuted, 1u);
+    const auto runs = ResultStore::open(old)->groupRuns(0);
+    ASSERT_EQ(runs.size(), 3u);
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const auto &m = runs[i].metrics;
+        EXPECT_EQ(std::any_of(m.begin(), m.end(),
+                              [](const auto &kv) {
+                                  return kv.first == "sim.par.rounds";
+                              }),
+                  i < 2)
+            << "run " << i;
+    }
+    EXPECT_EQ(ResultStore::open(old)->groupMetric(0),
+              ResultStore::open(reference)->groupMetric(0));
+    EXPECT_EQ(campaignReport(old).text, campaignReport(reference).text);
+    EXPECT_EQ(campaignMetricReport(old, "cycles_per_txn").text,
+              campaignMetricReport(reference, "cycles_per_txn").text);
+}
+
 TEST(ResultStore, UnknownRecordTypesAreSkipped)
 {
     // Forward compatibility: a manifest written by a newer binary may

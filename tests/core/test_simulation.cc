@@ -124,6 +124,28 @@ TEST(Simulation, SameSeedIsBitIdentical)
     EXPECT_EQ(a.cpu.instructions, b.cpu.instructions);
 }
 
+// The smallest topology — one CPU, one memory node, threads
+// oversubscribed so the scheduler still switches — runs and repeats
+// bit for bit, down to the full stats dump.
+TEST(Simulation, SingleCpuTopologyIsDeterministic)
+{
+    SystemConfig sys = smallSys();
+    sys.mem.numNodes = 1;
+    workload::WorkloadParams wl = smallOltp();
+    wl.threadsPerCpu = 2;
+    RunConfig rc = quickRun(11);
+    rc.warmupTxns = 5;
+    rc.measureTxns = 20;
+
+    const RunResult a = runOnce(sys, wl, rc);
+    const RunResult b = runOnce(sys, wl, rc);
+    EXPECT_GT(a.txns, 0u);
+    EXPECT_GT(a.os.dispatches, 0u);
+    EXPECT_EQ(a.runtimeTicks, b.runtimeTicks);
+    EXPECT_EQ(a.cyclesPerTxn, b.cyclesPerTxn);
+    EXPECT_EQ(a.statsJsonl(), b.statsJsonl());
+}
+
 TEST(Simulation, DifferentSeedsDiverge)
 {
     const RunResult a = runOnce(smallSys(), smallOltp(),

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "campaign/knobs.hh"
 #include "serve/schema.hh"
 #include "sim/logging.hh"
@@ -31,7 +33,6 @@ sampleSubmission()
     sub.fields.threadsPerCpu = 2;
     sub.fields.warmupTxns = 7;
     sub.fields.measureTxns = 1000;
-    sub.fields.lookahead = -1;
     sub.fields.sample = "stratified:200:20:40";
     sub.fields.baseSeed = 4242;
     sub.fields.numCheckpoints = 3;
@@ -62,7 +63,6 @@ TEST(ServeSchema, SubmissionRoundTrips)
     EXPECT_EQ(got.fields.workload, "specjbb");
     EXPECT_EQ(got.fields.sample, "stratified:200:20:40");
     EXPECT_EQ(got.fields.strategy, "random");
-    EXPECT_EQ(got.fields.lookahead, -1);
     EXPECT_EQ(got.fields.fixedRuns, 9u);
     EXPECT_DOUBLE_EQ(got.fields.relativeError, 0.05);
     EXPECT_DOUBLE_EQ(got.fields.alpha, 0.01);
@@ -93,7 +93,6 @@ TEST(ServeSchema, DefaultsSurviveARoundTrip)
     EXPECT_EQ(got.fields.workload, dflt.workload);
     EXPECT_EQ(got.fields.pilotRuns, dflt.pilotRuns);
     EXPECT_EQ(got.fields.maxRuns, dflt.maxRuns);
-    EXPECT_EQ(got.fields.lookahead, dflt.lookahead);
     EXPECT_DOUBLE_EQ(got.fields.alpha, dflt.alpha);
     EXPECT_DOUBLE_EQ(got.fields.confidence, dflt.confidence);
 }
@@ -114,6 +113,43 @@ TEST(ServeSchema, UnsupportedVersionIsRejected)
     std::string err;
     EXPECT_FALSE(serve::decodeSubmission(obj, got, &err));
     EXPECT_NE(err.find("schema"), std::string::npos);
+}
+
+// Submissions journaled before the intra-run engine was removed
+// carry its two knobs. At their "off" defaults they decode to the
+// same spec; any other value is rejected, naming the field.
+TEST(ServeSchema, RetiredEngineFieldsDecodeOnlyAtTheirDefaults)
+{
+    const serve::Submission sub = sampleSubmission();
+    std::string payload = serve::encodeSubmission(sub);
+    EXPECT_EQ(payload.find("intra_threads"), std::string::npos);
+    EXPECT_EQ(payload.find("lookahead"), std::string::npos);
+    payload.pop_back(); // reopen the object to append fields
+
+    const std::pair<const char *, const char *> cases[] = {
+        {"", ",\"intra_threads\":0,\"lookahead\":\"-1\"}"},
+        {"intra_threads", ",\"intra_threads\":4}"},
+        {"intra_threads", ",\"intra_threads\":\"x\"}"},
+        {"lookahead", ",\"lookahead\":\"5\"}"},
+        {"lookahead", ",\"lookahead\":\"0\"}"},
+    };
+    for (const auto &[field, extra] : cases) {
+        SCOPED_TRACE(extra);
+        sim::JsonLine obj;
+        ASSERT_TRUE(obj.parse(payload + extra));
+        serve::Submission got;
+        std::string err;
+        const bool ok = serve::decodeSubmission(obj, got, &err);
+        EXPECT_EQ(ok, *field == '\0') << err;
+        if (!ok) {
+            EXPECT_NE(err.find(field), std::string::npos) << err;
+            continue;
+        }
+        campaign::CampaignSpec sent, received;
+        ASSERT_TRUE(campaign::buildSpec(sub.fields, sent, &err));
+        ASSERT_TRUE(campaign::buildSpec(got.fields, received, &err));
+        EXPECT_EQ(sent.fingerprint(), received.fingerprint());
+    }
 }
 
 TEST(ServeSchema, NamesAreValidatedAsPathComponents)

@@ -7,9 +7,7 @@
  * contract: a std::set of pending items keyed by (when, priority,
  * seq), where seq counts every schedule in program order. Each
  * dispatch must pop the reference's first item; after every operation
- * size(), nextEventTick(), annotatedPending(), minUnannotatedTick()
- * and forEachAnnotated() must agree with a brute-force scan of the
- * reference.
+ * size() and nextEventTick() must agree with the reference.
  *
  * The streams mix owned events (schedule, deschedule, reschedule) and
  * pooled one-shots (callAt), with delays chosen around the wheel span
@@ -24,7 +22,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -112,25 +110,12 @@ class Oracle
         return q.curTick() + delay();
     }
 
-    SendReach
-    reach()
-    {
-        if (!chance(30))
-            return SendReach{};
-        SendReach r;
-        if (chance(50))
-            r.dom = static_cast<std::uint32_t>(below(4));
-        r.selfDelay = below(50);
-        r.otherDelay = 1 + below(200);
-        return r;
-    }
-
     void
-    refAdd(int id, Tick when, std::int32_t pri, const SendReach &r)
+    refAdd(int id, Tick when, std::int32_t pri)
     {
         const Key k{when, pri, nextSeq++, id};
         ref.insert(k);
-        byId[id] = {k, r};
+        byId[id] = k;
     }
 
     void
@@ -138,7 +123,7 @@ class Oracle
     {
         auto it = byId.find(id);
         ASSERT_NE(it, byId.end());
-        ref.erase(it->second.first);
+        ref.erase(it->second);
         byId.erase(it);
     }
 
@@ -150,22 +135,18 @@ class Oracle
         OracleEvent *ev = owned[below(owned.size())].get();
         const int id = ev->id();
         if (ev->scheduled()) {
-            // reschedule keeps the reach (it may only change while
-            // the event is not pending).
             const Tick when = target();
-            const SendReach r = byId[id].second;
             refRemove(id);
             q.reschedule(ev, when);
-            refAdd(id, when, ev->priority(), r);
+            refAdd(id, when, ev->priority());
             return;
         }
-        ev->setReach(reach());
         const Tick when = target();
         if (chance(50))
             q.schedule(ev, when);
         else
             q.reschedule(ev, when);
-        refAdd(id, when, ev->priority(), ev->reach());
+        refAdd(id, when, ev->priority());
     }
 
     void
@@ -182,13 +163,8 @@ class Oracle
     callAt(Tick when, Event::Priority pri)
     {
         const int id = nextCallId++;
-        const SendReach r = reach();
-        auto fn = [this, id] { fired(id); };
-        if (r.annotated())
-            q.callAt(when, fn, pri, r);
-        else
-            q.callAt(when, fn, pri);
-        refAdd(id, when, pri, r);
+        q.callAt(when, [this, id] { fired(id); }, pri);
+        refAdd(id, when, pri);
     }
 
     void
@@ -259,27 +235,6 @@ class Oracle
         ASSERT_EQ(q.empty(), ref.empty());
         ASSERT_EQ(q.nextEventTick(),
                   ref.empty() ? maxTick : std::get<0>(*ref.begin()));
-
-        Tick minUnann = maxTick;
-        std::vector<std::tuple<Tick, std::uint32_t, Tick, Tick>> ann;
-        for (const auto &[id, entry] : byId) {
-            const Tick when = std::get<0>(entry.first);
-            const SendReach &r = entry.second;
-            if (r.annotated())
-                ann.emplace_back(when, r.dom, r.selfDelay, r.otherDelay);
-            else
-                minUnann = std::min(minUnann, when);
-        }
-        ASSERT_EQ(q.annotatedPending(), ann.size());
-        ASSERT_EQ(q.minUnannotatedTick(), minUnann);
-
-        std::vector<std::tuple<Tick, std::uint32_t, Tick, Tick>> seen;
-        q.forEachAnnotated([&](Tick when, const SendReach &r) {
-            seen.emplace_back(when, r.dom, r.selfDelay, r.otherDelay);
-        });
-        std::sort(ann.begin(), ann.end());
-        std::sort(seen.begin(), seen.end());
-        ASSERT_EQ(seen, ann);
     }
 
     /** One random top-level operation, then a full check. */
@@ -308,7 +263,7 @@ class Oracle
 
     SplitMix64 rng;
     std::set<Key> ref;
-    std::map<int, std::pair<Key, SendReach>> byId;
+    std::map<int, Key> byId;
     std::uint64_t nextSeq = 0;
     int nextCallId = numOwned;
     int stopper = -1;

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Build the full tree with AddressSanitizer + UndefinedBehaviorSanitizer
-# and run the tier-1 test suite under it, then build the domained-engine
-# tests with ThreadSanitizer and run them with real worker threads. A
+# and run the tier-1 test suite under it, then build the suites that
+# share state across host threads with ThreadSanitizer and run them. A
 # clean pass means the suite is free of heap errors, leaks-at-exit in
 # test paths, UB that the instrumented build can detect, and data races
-# on the intra-run parallel engine — run this before merging changes
-# that touch memory handling or concurrency.
+# in the host thread pool, the task queue, the process-wide pools and
+# the serve daemon — run this before merging changes that touch memory
+# handling or concurrency.
 #
 # Usage: tools/run_tier1_sanitized.sh [build-dir] [tsan-build-dir]
 #   build-dir defaults to build-san, tsan-build-dir to build-tsan
@@ -154,19 +155,14 @@ cmp -s "$build/compact-before.txt" "$build/compact-after.txt" || {
 echo "tier-1 suite clean under address,undefined sanitizers;" \
     "compaction kill-9 left the store intact"
 
-# ---- ThreadSanitizer flavor: the domained engine's data-race gate ----
-# TSan is incompatible with ASan, so it gets its own tree. Only the
-# suites that exercise the barrier/mailbox machinery with real worker
-# threads are run: the DomainScheduler/DomainRouter/InlineFn units,
-# the randomized ParallelStress storms (random topologies, message
-# storms, mid-run serial-round flips), and the ParallelGolden
-# end-to-end matrix (threads 1, 2, 4 and 8, including the
-# ParallelGoldenSampled sampling-under-parallelism pin). The
-# engine's claim is that workers synchronize exclusively through the
-# round barrier — TSan proves the absence of any side channel. The
-# process-wide pools ride along: the tag-arena pool (4 threads
-# building 8- and 16-node memory systems) and the Zipf table
-# registry (4 threads sharing one table).
+# ---- ThreadSanitizer flavor: the in-process concurrency gate ----
+# TSan is incompatible with ASan, so it gets its own tree. A
+# simulation is single-threaded; what runs concurrently is separate
+# runs and what they share. So the suites run here are the host
+# thread pool and the task queue that spread runs over host threads,
+# and the process-wide pools every run draws from: the tag-arena pool
+# (4 threads building 8- and 16-node memory systems) and the Zipf
+# table registry (4 threads sharing one table).
 cmake -S "$repo" -B "$tsan_build" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DVARSIM_SANITIZE=thread
@@ -185,10 +181,10 @@ done
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir "$tsan_build" --output-on-failure -j "$jobs" \
-    -R 'InlineFn|DomainRouter|DomainScheduler|ParallelGolden|ParallelStress|TagArena|ZipfSampler'
+    -R 'HostThreadPool|TaskQueue|TagArena|ZipfSampler'
 
-echo "domained engine, tag-arena pool and Zipf registry clean under" \
-    "thread sanitizer"
+echo "host thread pool, task queue, tag-arena pool and Zipf registry" \
+    "clean under thread sanitizer"
 
 # ---- Service soak: the serve daemon's data-race + crash gate ----
 # Phase 1, in-process under TSan: the scheduler/daemon suites plus

@@ -36,6 +36,10 @@
  *                             attached); watch/cancel/report take
  *                             --id <tenant>/<name>
  *
+ * Every command accepts only the flags listed for it here; any
+ * other flag, or a number that does not parse whole, is fatal
+ * before anything runs.
+ *
  * Common options:
  *   --workload <name>      oltp|apache|specjbb|slashcode|ecperf|
  *                          barnes|ocean            (default oltp)
@@ -49,18 +53,11 @@
  *   --stats <file|->       (run) write each run's full metrics-
  *                          registry dump as one JSONL line, and
  *                          print host-throughput profiling
- *   --threads <n>          intra-run parallelism: run each
- *                          simulation on the domained engine with n
- *                          worker threads (default 0 = the legacy
- *                          serial engine). Results are bitwise
- *                          identical for every n >= 1; the domained
- *                          engine itself is a slightly different
- *                          timing model than the serial one (see
- *                          DESIGN.md), so 0 vs >=1 is a modelling
- *                          choice, not just a speed knob
- *   --lookahead <ticks>    conservative lookahead for --threads
- *                          (default: derived from the L2 hit
- *                          latency; 0 forces the serial engine)
+ *   --host-threads <n>     (run, compare, anova, plan) host
+ *                          threads the runs are spread over
+ *                          (default 0 = every hardware thread).
+ *                          Each run is one serial simulation;
+ *                          results are identical for every n
  *   --sample <d:U:W:M[:c]> intra-run statistical sampling: per
  *                          period of U transactions, fast-forward
  *                          under functional warming, then run W
@@ -103,14 +100,6 @@
  *                          multi-starting-point sampling (§5.2)
  *   --shard <i>/<N>        execute only this process's cell stripe
  *   --host-threads <n>     worker threads (0 = hardware)
- *   --intra-threads <n>    domained-engine workers inside each run
- *                          (default 0 = serial engine). Campaigns
- *                          parallelize across runs first — prefer
- *                          --host-threads when runs outnumber cores,
- *                          and split so that host-threads x
- *                          intra-threads <= hardware cores when a
- *                          few long runs dominate. Recorded results
- *                          are identical for every value
  *   --interrupt-after <n>  stop as if killed after n new runs
  *                          (resume walkthroughs, tests)
  *   --ckpt-dir <path>      persistent checkpoint library: warm-ups
@@ -167,6 +156,8 @@
  *   varsim ckpt verify --dir ckpts
  */
 
+#include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -190,11 +181,30 @@ using namespace varsim;
 namespace
 {
 
-/** Minimal deterministic flag parser: --key value pairs. */
+/** The flags one command accepts. */
+using FlagSet = std::vector<std::string>;
+
+/** Parse all of @p text as a decimal T; false if any of it is not. */
+template <typename T>
+bool
+parseWhole(const std::string &text, T &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return !text.empty() && ec == std::errc() && ptr == end;
+}
+
+/**
+ * Deterministic flag parser: --key value pairs. Every key must be in
+ * the command's FlagSet, checked when the command line is parsed —
+ * before any work starts — so a mistyped or retired flag fails
+ * instead of silently running with the default.
+ */
 class Args
 {
   public:
-    Args(int argc, char **argv)
+    Args(int argc, char **argv, const std::string &command,
+         const FlagSet &accepted)
     {
         for (int i = 2; i < argc; ++i) {
             std::string key = argv[i];
@@ -203,6 +213,9 @@ class Args
                            "--key value)", key.c_str());
             }
             key = key.substr(2);
+            if (std::find(accepted.begin(), accepted.end(), key) ==
+                accepted.end())
+                rejectFlag(command, key, accepted);
             if (i + 1 >= argc) {
                 sim::fatal("flag --%s needs a value", key.c_str());
             }
@@ -228,7 +241,7 @@ class Args
     {
         if (!has(key))
             return dflt;
-        return std::strtoull(str(key, "").c_str(), nullptr, 10);
+        return toUnsigned(key, str(key, ""));
     }
 
     double
@@ -236,7 +249,13 @@ class Args
     {
         if (!has(key))
             return dflt;
-        return std::strtod(str(key, "").c_str(), nullptr);
+        const std::string text = str(key, "");
+        char *end = nullptr;
+        const double v = std::strtod(text.c_str(), &end);
+        if (text.empty() || *end != '\0')
+            sim::fatal("bad --%s '%s' (want a number)", key.c_str(),
+                       text.c_str());
+        return v;
     }
 
     /** All values given for a repeatable flag. */
@@ -246,8 +265,7 @@ class Args
         std::vector<std::uint64_t> out;
         auto range = values.equal_range(key);
         for (auto it = range.first; it != range.second; ++it)
-            out.push_back(
-                std::strtoull(it->second.c_str(), nullptr, 10));
+            out.push_back(toUnsigned(key, it->second));
         return out;
     }
 
@@ -263,8 +281,130 @@ class Args
     }
 
   private:
+    [[noreturn]] static void
+    rejectFlag(const std::string &command, const std::string &key,
+               const FlagSet &accepted)
+    {
+        if (key == "threads" || key == "lookahead" ||
+            key == "intra-threads")
+            sim::fatal("varsim %s: --%s is gone with the intra-run "
+                       "parallel engine; separate runs are the "
+                       "parallel axis now, use --host-threads <n>",
+                       command.c_str(), key.c_str());
+        std::string list;
+        for (const std::string &k : accepted)
+            list += " --" + k;
+        sim::fatal("varsim %s: unknown flag --%s (accepted:%s)",
+                   command.c_str(), key.c_str(),
+                   list.empty() ? " none" : list.c_str());
+    }
+
+    static std::uint64_t
+    toUnsigned(const std::string &key, const std::string &text)
+    {
+        std::uint64_t v = 0;
+        if (!parseWhole(text, v))
+            sim::fatal("bad --%s '%s' (want an unsigned integer)",
+                       key.c_str(), text.c_str());
+        return v;
+    }
+
     std::multimap<std::string, std::string> values;
 };
+
+/** Concatenation of flag sets. */
+FlagSet
+join(std::initializer_list<FlagSet> parts)
+{
+    FlagSet out;
+    for (const FlagSet &p : parts)
+        out.insert(out.end(), p.begin(), p.end());
+    return out;
+}
+
+/** The target-system knobs systemFromArgs reads, --cpus aside
+ *  (compare takes each with an -a and a -b suffix). */
+const FlagSet kSystemKnobs = {"l2-assoc", "l2-size", "dram",
+                              "perturb", "quantum", "protocol",
+                              "prefetch", "model", "rob"};
+const FlagSet kSystemFlags = join({{"cpus"}, kSystemKnobs});
+const FlagSet kWorkloadFlags = {"workload", "threads-per-cpu",
+                                "workload-seed"};
+/** What runFromArgs reads. */
+const FlagSet kRunFlags = {"warmup", "txns", "sample",
+                           "sample-offset-seed"};
+/** What specFieldsFromArgs reads. */
+const FlagSet kSpecFlags = join(
+    {kSystemFlags, kWorkloadFlags, kRunFlags,
+     {"vary", "seed", "checkpoints", "step", "strategy", "runs",
+      "pilot-runs", "max-runs", "rel-err", "alpha", "budget"}});
+
+/**
+ * The flags `varsim <cmd> [action]` reads — all of them, and only
+ * those. Unknown actions get the smallest set; the command itself
+ * then names the valid actions.
+ */
+FlagSet
+acceptedFlags(const std::string &cmd, const std::string &action)
+{
+    if (cmd == "run")
+        return join({kSystemFlags, kWorkloadFlags, kRunFlags,
+                     {"runs", "seed", "host-threads", "stats"}});
+    if (cmd == "compare") {
+        FlagSet ab = {"cpus"};
+        for (const std::string &k : kSystemKnobs) {
+            ab.push_back(k + "-a");
+            ab.push_back(k + "-b");
+        }
+        return join({ab, kWorkloadFlags, kRunFlags,
+                     {"runs", "seed", "host-threads"}});
+    }
+    if (cmd == "anova")
+        return join({kSystemFlags, kWorkloadFlags,
+                     {"checkpoints", "step", "strategy", "runs",
+                      "txns", "seed", "host-threads"}});
+    if (cmd == "plan")
+        return join({kSystemFlags, kWorkloadFlags,
+                     {"budget", "pilot", "runs", "warmup",
+                      "host-threads"}});
+    if (cmd == "campaign") {
+        if (action == "run" || action == "resume")
+            return join({kSpecFlags,
+                         {"dir", "host-threads", "interrupt-after",
+                          "ckpt-dir", "shard"}});
+        if (action == "report")
+            return {"dir", "metric"};
+        if (action == "export")
+            return {"dir", "out"};
+        return {"dir"};
+    }
+    if (cmd == "ckpt") {
+        if (action == "create")
+            return join({kSpecFlags, {"dir", "host-threads"}});
+        if (action == "gc")
+            return {"dir", "max-bytes"};
+        return {"dir"};
+    }
+    if (cmd == "serve")
+        return {"root", "listen", "workers"};
+    if (cmd == "client") {
+        const FlagSet daemon = {"connect", "root"};
+        const FlagSet id = {"id", "tenant", "name"};
+        if (action == "submit")
+            return join({daemon, id, kSpecFlags,
+                         {"priority", "watch", "after"}});
+        if (action == "watch")
+            return join({daemon, id, {"after"}});
+        if (action == "cancel")
+            return join({daemon, id});
+        if (action == "report")
+            return join({daemon, id, {"confidence", "metric"}});
+        if (action == "status")
+            return join({daemon, {"tenant"}});
+        return daemon;
+    }
+    return {}; // list
+}
 
 core::SystemConfig
 systemFromArgs(const Args &args, const std::string &suffix)
@@ -321,9 +461,6 @@ runFromArgs(const Args &args)
     core::RunConfig rc;
     rc.warmupTxns = args.num("warmup", 100);
     rc.measureTxns = args.num("txns", 0); // 0 = workload default
-    rc.par.threads = args.num("threads", 0);
-    if (args.has("lookahead"))
-        rc.par.lookahead = args.num("lookahead", 0);
     const std::string sample = args.str("sample", "");
     if (!sample.empty() &&
         !core::SampleConfig::parse(sample, rc.sample))
@@ -364,6 +501,7 @@ cmdRun(const Args &args)
     core::ExperimentConfig exp;
     exp.numRuns = args.num("runs", 10);
     exp.baseSeed = args.num("seed", 1000);
+    exp.hostThreads = args.num("host-threads", 0);
 
     std::printf("running %zu x %s on %zu CPUs...\n", exp.numRuns,
                 workload::kindName(wl.kind), sys.numCpus());
@@ -462,6 +600,7 @@ cmdCompare(const Args &args)
     core::ExperimentConfig exp;
     exp.numRuns = args.num("runs", 10);
     exp.baseSeed = args.num("seed", 1000);
+    exp.hostThreads = args.num("host-threads", 0);
 
     std::printf("comparing A vs B on %s, %zu runs each...\n",
                 workload::kindName(wl.kind), exp.numRuns);
@@ -496,6 +635,8 @@ cmdAnova(const Args &args)
     const std::size_t numCkpts = args.num("checkpoints", 5);
     const std::uint64_t step = args.num("step", 400);
     const std::size_t runs = args.num("runs", 6);
+    const std::uint64_t measureTxns = args.num("txns", 200);
+    const std::size_t hostThreads = args.num("host-threads", 0);
     const std::string stratName =
         args.str("strategy", "systematic");
     core::SamplingStrategy strategy =
@@ -527,10 +668,11 @@ cmdAnova(const Args &args)
         done = positions[c];
         const core::Checkpoint cp = warmer.checkpoint();
         core::RunConfig rc;
-        rc.measureTxns = args.num("txns", 200);
+        rc.measureTxns = measureTxns;
         core::ExperimentConfig exp;
         exp.numRuns = runs;
         exp.baseSeed = 20000 + 100 * c;
+        exp.hostThreads = hostThreads;
         groups.push_back(core::metricOf(core::runManyFromCheckpoint(
             sys, wl, cp, rc, exp)));
         const auto s = stats::summarize(groups.back());
@@ -553,15 +695,18 @@ cmdPlan(const Args &args)
     if (lengths.empty())
         lengths = {50, 150, 400};
     const std::size_t pilotRuns = args.num("runs", 6);
+    const std::uint64_t warmupTxns = args.num("warmup", 100);
+    const std::size_t hostThreads = args.num("host-threads", 0);
 
     std::printf("measuring pilots for the budget planner...\n");
     std::vector<std::pair<std::uint64_t, double>> pilots;
     for (std::uint64_t len : lengths) {
         core::RunConfig rc;
-        rc.warmupTxns = args.num("warmup", 100);
+        rc.warmupTxns = warmupTxns;
         rc.measureTxns = len;
         core::ExperimentConfig exp;
         exp.numRuns = pilotRuns;
+        exp.hostThreads = hostThreads;
         const auto rep =
             core::analyze(core::runMany(sys, wl, rc, exp));
         pilots.emplace_back(len, rep.coefficientOfVariation);
@@ -587,10 +732,7 @@ campaign::SpecFields
 specFieldsFromArgs(const Args &args)
 {
     campaign::SpecFields f;
-    static const char *const kBaseKnobs[] = {
-        "cpus",    "l2-assoc", "l2-size",  "dram",    "perturb",
-        "rob",     "quantum",  "model",    "protocol", "prefetch"};
-    for (const char *knob : kBaseKnobs)
+    for (const std::string &knob : kSystemFlags)
         if (args.has(knob))
             f.base[knob] = args.str(knob, "");
     f.vary = args.allStr("vary");
@@ -600,12 +742,6 @@ specFieldsFromArgs(const Args &args)
         args.num("threads-per-cpu", f.threadsPerCpu);
     f.warmupTxns = args.num("warmup", f.warmupTxns);
     f.measureTxns = args.num("txns", f.measureTxns);
-    // Campaigns use --intra-threads (--threads would collide with
-    // the cross-run --host-threads split users already know).
-    f.intraThreads = args.num("intra-threads", f.intraThreads);
-    if (args.has("lookahead"))
-        f.lookahead =
-            static_cast<std::int64_t>(args.num("lookahead", 0));
     f.sample = args.str("sample", f.sample);
     f.sampleOffsetSeed =
         args.num("sample-offset-seed", f.sampleOffsetSeed);
@@ -712,8 +848,10 @@ cmdCampaign(const std::string &action, const Args &args)
     opt.ckptDir = args.str("ckpt-dir", "");
     opt.verbose = true;
     const std::string shard = args.str("shard", "1/1");
-    if (std::sscanf(shard.c_str(), "%zu/%zu", &opt.shardIndex,
-                    &opt.shardCount) != 2 ||
+    const auto slash = shard.find('/');
+    if (slash == std::string::npos ||
+        !parseWhole(shard.substr(0, slash), opt.shardIndex) ||
+        !parseWhole(shard.substr(slash + 1), opt.shardCount) ||
         opt.shardCount == 0 || opt.shardIndex < 1 ||
         opt.shardIndex > opt.shardCount)
         sim::fatal("--shard wants i/N with 1 <= i <= N (got "
@@ -946,8 +1084,10 @@ cmdClient(std::string action, const Args &args)
         if (sub.name.empty())
             sim::fatal("client submit needs --name (and usually "
                        "--tenant)");
-        sub.priority = static_cast<int>(std::strtol(
-            args.str("priority", "0").c_str(), nullptr, 10));
+        const std::string priority = args.str("priority", "0");
+        if (!parseWhole(priority, sub.priority))
+            sim::fatal("bad --priority '%s' (want an integer)",
+                       priority.c_str());
         sub.fields = specFieldsFromArgs(args);
         if (!client.submit(sub, &err))
             sim::fatal("%s", err.c_str());
@@ -1045,32 +1185,30 @@ main(int argc, char **argv)
         return 1;
     }
     const std::string cmd = argv[1];
-    if (cmd == "campaign") {
+    if (cmd == "campaign" || cmd == "ckpt" || cmd == "client") {
         if (argc < 3) {
             usage();
             return 1;
         }
         // Flags start after the action word, so hand the parser a
         // view of argv shifted by one.
-        return cmdCampaign(argv[2], Args(argc - 1, argv + 1));
+        const std::string action = argv[2];
+        const Args args(argc - 1, argv + 1, cmd + " " + action,
+                        acceptedFlags(cmd, action));
+        if (cmd == "campaign")
+            return cmdCampaign(action, args);
+        if (cmd == "ckpt")
+            return cmdCkpt(action, args);
+        return cmdClient(action, args);
     }
-    if (cmd == "ckpt") {
-        if (argc < 3) {
-            usage();
-            return 1;
-        }
-        return cmdCkpt(argv[2], Args(argc - 1, argv + 1));
+    if (cmd != "list" && cmd != "run" && cmd != "compare" &&
+        cmd != "anova" && cmd != "plan" && cmd != "serve") {
+        usage();
+        return 1;
     }
+    const Args args(argc, argv, cmd, acceptedFlags(cmd, ""));
     if (cmd == "serve")
-        return cmdServe(Args(argc, argv));
-    if (cmd == "client") {
-        if (argc < 3) {
-            usage();
-            return 1;
-        }
-        return cmdClient(argv[2], Args(argc - 1, argv + 1));
-    }
-    Args args(argc, argv);
+        return cmdServe(args);
     if (cmd == "list")
         return cmdList();
     if (cmd == "run")
@@ -1079,8 +1217,5 @@ main(int argc, char **argv)
         return cmdCompare(args);
     if (cmd == "anova")
         return cmdAnova(args);
-    if (cmd == "plan")
-        return cmdPlan(args);
-    usage();
-    return 1;
+    return cmdPlan(args);
 }
