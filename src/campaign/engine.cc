@@ -6,7 +6,7 @@
 
 #include "campaign/exec.hh"
 #include "core/analysis.hh"
-#include "core/thread_pool.hh"
+#include "core/executor.hh"
 #include "sim/logging.hh"
 #include "stats/summary.hh"
 
@@ -20,7 +20,7 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
             const CampaignOptions &opt)
 {
     // All the mechanism lives in Execution (shared with the serve
-    // daemon); this loop only sequences rounds on the host pool.
+    // daemon); this loop only sequences rounds on the shared executor.
     std::string err;
     auto execp = Execution::tryCreate(spec, dir, opt, &err);
     if (!execp)
@@ -53,7 +53,7 @@ runCampaign(const CampaignSpec &spec, const std::string &dir,
                     dec[g].target, dec[g].reason.c_str());
         }
 
-        core::HostThreadPool::instance().parallelFor(
+        core::Executor::shared().parallelFor(
             work.size(), opt.hostThreads, [&](std::size_t k) {
                 if (interrupted.load())
                     return; // unclaimed cells die with the "kill"

@@ -190,6 +190,23 @@ bool
 buildSpec(const SpecFields &fields, CampaignSpec &out,
           std::string *err)
 {
+    struct Bound
+    {
+        const char *what;
+        std::uint64_t value, limit;
+    };
+    for (const Bound &b :
+         {Bound{"checkpoints", fields.numCheckpoints, kMaxCheckpoints},
+          Bound{"fixed runs", fields.fixedRuns, kMaxRunsPerGroup},
+          Bound{"pilot runs", fields.pilotRuns, kMaxRunsPerGroup},
+          Bound{"max runs", fields.maxRuns, kMaxRunsPerGroup}}) {
+        if (b.value > b.limit)
+            return fail(err, sim::format(
+                "%s %llu over the limit of %llu", b.what,
+                static_cast<unsigned long long>(b.value),
+                static_cast<unsigned long long>(b.limit)));
+    }
+
     CampaignSpec spec;
 
     core::SystemConfig base;

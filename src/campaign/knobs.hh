@@ -109,8 +109,22 @@ struct SpecFields
 };
 
 /**
+ * Upper limits buildSpec() puts on a campaign's size. The daemon
+ * takes these fields from untrusted submissions, where "-1" would
+ * otherwise mean 2^64-1 checkpoints to warm or runs to schedule.
+ * They sit far above any useful campaign (the paper uses at most
+ * tens of checkpoints and runs; every run is a whole simulation) and
+ * are limits, not options.
+ */
+constexpr std::uint64_t kMaxCheckpoints = 1000;
+
+/** Limit on fixedRuns, pilotRuns and maxRuns (runs per group). */
+constexpr std::uint64_t kMaxRunsPerGroup = 10000;
+
+/**
  * Translate @p fields into a validated CampaignSpec. Returns false
- * and sets @p err on any bad field; @p out is untouched on failure.
+ * and sets @p err on any bad field, a count over the limits above
+ * included; @p out is untouched on failure.
  */
 bool buildSpec(const SpecFields &fields, CampaignSpec &out,
                std::string *err);

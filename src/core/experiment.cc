@@ -1,10 +1,9 @@
 #include "core/experiment.hh"
 
 #include <algorithm>
-#include <functional>
 #include <string>
 
-#include "core/thread_pool.hh"
+#include "core/executor.hh"
 #include "sim/trace.hh"
 
 namespace varsim
@@ -15,16 +14,14 @@ namespace core
 namespace
 {
 
-/**
- * Run @p job(i) for i in [0, n) on the persistent host pool,
- * results keyed by index so the outcome is independent of host
- * scheduling. Job exceptions rethrow on the calling thread.
- */
-void
-parallelFor(std::size_t n, std::size_t host_threads,
-            const std::function<void(std::size_t)> &job)
+/** Run @p i of @p exp: @p run under perturbation seed baseSeed + i. */
+RunConfig
+seededRun(const RunConfig &run, const ExperimentConfig &exp,
+          std::size_t i)
 {
-    HostThreadPool::instance().parallelFor(n, host_threads, job);
+    RunConfig r = run;
+    r.perturbSeed = exp.baseSeed + i;
+    return r;
 }
 
 } // anonymous namespace
@@ -46,20 +43,28 @@ ExperimentConfig::validate() const
 }
 
 std::vector<RunResult>
-runMany(const SystemConfig &sys, const workload::WorkloadParams &wl,
-        const RunConfig &run, const ExperimentConfig &exp)
+runEachSeed(const RunConfig &run, const ExperimentConfig &exp,
+            const std::function<RunResult(const RunConfig &)> &runOne)
 {
     exp.validate();
     std::vector<RunResult> results(exp.numRuns);
-    parallelFor(exp.numRuns, exp.hostThreads, [&](std::size_t i) {
-        // Runs execute concurrently on host threads; the scope gives
-        // every DPRINTF line this run emits a run identity.
-        sim::trace::RunScope scope(sim::format("r%zu", i));
-        RunConfig r = run;
-        r.perturbSeed = exp.baseSeed + i;
-        results[i] = runOnce(sys, wl, r);
-    });
+    Executor::shared().parallelFor(
+        exp.numRuns, exp.hostThreads, [&](std::size_t i) {
+            // Runs execute concurrently on host threads; the scope
+            // gives every DPRINTF line this run emits a run identity.
+            sim::trace::RunScope scope(sim::format("r%zu", i));
+            results[i] = runOne(seededRun(run, exp, i));
+        });
     return results;
+}
+
+std::vector<RunResult>
+runMany(const SystemConfig &sys, const workload::WorkloadParams &wl,
+        const RunConfig &run, const ExperimentConfig &exp)
+{
+    return runEachSeed(run, exp, [&](const RunConfig &r) {
+        return runOnce(sys, wl, r);
+    });
 }
 
 std::vector<RunResult>
@@ -68,15 +73,9 @@ runManyFromCheckpoint(const SystemConfig &sys,
                       const Checkpoint &cp, const RunConfig &run,
                       const ExperimentConfig &exp)
 {
-    exp.validate();
-    std::vector<RunResult> results(exp.numRuns);
-    parallelFor(exp.numRuns, exp.hostThreads, [&](std::size_t i) {
-        sim::trace::RunScope scope(sim::format("r%zu", i));
-        RunConfig r = run;
-        r.perturbSeed = exp.baseSeed + i;
-        results[i] = runFromCheckpoint(sys, wl, cp, r);
+    return runEachSeed(run, exp, [&](const RunConfig &r) {
+        return runFromCheckpoint(sys, wl, cp, r);
     });
-    return results;
 }
 
 std::vector<std::vector<RunResult>>
@@ -103,7 +102,7 @@ runManyBatch(const std::vector<ExperimentSpec> &specs)
     for (std::size_t s = 0; s < specs.size(); ++s)
         results[s].resize(specs[s].exp.numRuns);
 
-    parallelFor(
+    Executor::shared().parallelFor(
         offsets.back(), hostThreads, [&](std::size_t flat) {
             const std::size_t s = static_cast<std::size_t>(
                 std::upper_bound(offsets.begin(), offsets.end(),
@@ -112,9 +111,8 @@ runManyBatch(const std::vector<ExperimentSpec> &specs)
             const std::size_t i = flat - offsets[s];
             sim::trace::RunScope scope(sim::format("e%zu.r%zu", s, i));
             const ExperimentSpec &spec = specs[s];
-            RunConfig r = spec.run;
-            r.perturbSeed = spec.exp.baseSeed + i;
-            results[s][i] = runOnce(spec.sys, spec.wl, r);
+            results[s][i] = runOnce(spec.sys, spec.wl,
+                                    seededRun(spec.run, spec.exp, i));
         });
     return results;
 }

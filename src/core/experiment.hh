@@ -10,6 +10,7 @@
 #ifndef VARSIM_CORE_EXPERIMENT_HH
 #define VARSIM_CORE_EXPERIMENT_HH
 
+#include <functional>
 #include <vector>
 
 #include "core/runner.hh"
@@ -68,6 +69,17 @@ runManyFromCheckpoint(const SystemConfig &sys,
                       const workload::WorkloadParams &wl,
                       const Checkpoint &cp, const RunConfig &run,
                       const ExperimentConfig &exp);
+
+/**
+ * The seed loop under every runMany* entry point: validate @p exp,
+ * then call @p runOne with @p run under seed baseSeed + i for each
+ * run i, spread over exp.hostThreads threads of the shared executor.
+ * Results are ordered by run index regardless of host scheduling;
+ * the first exception a run throws is rethrown here.
+ */
+std::vector<RunResult>
+runEachSeed(const RunConfig &run, const ExperimentConfig &exp,
+            const std::function<RunResult(const RunConfig &)> &runOne);
 
 /** One (configuration, workload, run, experiment) quadruple of a
  *  sweep — the unit of runManyBatch(). */

@@ -2,9 +2,6 @@
 
 #include <chrono>
 
-#include "core/thread_pool.hh"
-#include "sim/trace.hh"
-
 namespace varsim
 {
 namespace sample
@@ -152,18 +149,9 @@ runMany(const core::SystemConfig &sys,
         const core::RunConfig &run,
         const core::ExperimentConfig &exp)
 {
-    if (!run.sample.enabled())
-        return core::runMany(sys, wl, run, exp);
-    exp.validate();
-    std::vector<core::RunResult> results(exp.numRuns);
-    core::HostThreadPool::instance().parallelFor(
-        exp.numRuns, exp.hostThreads, [&](std::size_t i) {
-            sim::trace::RunScope scope(sim::format("r%zu", i));
-            core::RunConfig r = run;
-            r.perturbSeed = exp.baseSeed + i;
-            results[i] = sample::runOnce(sys, wl, r);
-        });
-    return results;
+    return core::runEachSeed(run, exp, [&](const core::RunConfig &r) {
+        return sample::runOnce(sys, wl, r);
+    });
 }
 
 std::vector<core::RunResult>
@@ -173,18 +161,9 @@ runManyFromCheckpoint(const core::SystemConfig &sys,
                       const core::RunConfig &run,
                       const core::ExperimentConfig &exp)
 {
-    if (!run.sample.enabled())
-        return core::runManyFromCheckpoint(sys, wl, cp, run, exp);
-    exp.validate();
-    std::vector<core::RunResult> results(exp.numRuns);
-    core::HostThreadPool::instance().parallelFor(
-        exp.numRuns, exp.hostThreads, [&](std::size_t i) {
-            sim::trace::RunScope scope(sim::format("r%zu", i));
-            core::RunConfig r = run;
-            r.perturbSeed = exp.baseSeed + i;
-            results[i] = sample::runFromCheckpoint(sys, wl, cp, r);
-        });
-    return results;
+    return core::runEachSeed(run, exp, [&](const core::RunConfig &r) {
+        return sample::runFromCheckpoint(sys, wl, cp, r);
+    });
 }
 
 } // namespace sample

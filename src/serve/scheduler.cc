@@ -84,7 +84,8 @@ readWholeFile(const std::string &path)
 
 } // anonymous namespace
 
-Scheduler::Scheduler(const SchedulerConfig &cfg) : cfg(cfg)
+Scheduler::Scheduler(const SchedulerConfig &cfg)
+    : cfg(cfg), executor(cfg.workers)
 {
     if (this->cfg.ckptDir.empty())
         this->cfg.ckptDir = this->cfg.root + "/ckpts";
@@ -93,7 +94,6 @@ Scheduler::Scheduler(const SchedulerConfig &cfg) : cfg(cfg)
     if (ec)
         sim::fatal("cannot create %s: %s", tenantsDir().c_str(),
                    ec.message().c_str());
-    queue = std::make_unique<core::TaskQueue>(this->cfg.workers);
 }
 
 Scheduler::~Scheduler()
@@ -109,7 +109,7 @@ Scheduler::stop()
         stopped = true;
         eventCv.notify_all(); // unblock drain()/waitEvents() waits
     }
-    queue->stop();
+    executor.stop();
 }
 
 std::string
@@ -221,7 +221,7 @@ Scheduler::submit(const Submission &sub, std::string *err)
             tenant.firstSeen = job->order + 1;
         jobs.emplace(id, std::move(job));
     }
-    queue->post([this] { pump(); });
+    executor.post([this] { pump(); });
     return true;
 }
 
@@ -408,7 +408,7 @@ Scheduler::resumeAll()
             // Re-enqueued like a fresh submission: the store knows
             // what already ran, Execution schedules only the rest,
             // and a long-finished campaign completes immediately.
-            queue->post([this] { pump(); });
+            executor.post([this] { pump(); });
             ++resumed;
         }
     }
@@ -543,7 +543,7 @@ Scheduler::refillJob(Job &job)
 {
     // Outside mu: recomputing decisions replays store state and may
     // contend only on the store's own mutex. An escaped exception
-    // would leave starting=true forever (TaskQueue swallows it), so
+    // would leave starting=true forever (the executor swallows it), so
     // convert throws into a terminal failed state.
     std::vector<campaign::Cell> cells;
     std::uint64_t target = 0;
@@ -586,14 +586,14 @@ Scheduler::refillJob(Job &job)
     const std::size_t tokens = cells.size();
     lock.unlock();
     for (std::size_t i = 0; i < tokens; ++i)
-        queue->post([this] { pump(); });
+        executor.post([this] { pump(); });
 }
 
 void
 Scheduler::runCell(Job &job, const campaign::Cell &cell)
 {
     // An exception here must still run the bookkeeping below:
-    // TaskQueue swallows throws, and a job with phantom inFlight
+    // the executor swallows throws, and a job with phantom inFlight
     // never terminates (watchers spin, drain() hangs) while its
     // tenant's fair share stays inflated.
     campaign::RunRecord rec;

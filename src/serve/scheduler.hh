@@ -2,7 +2,7 @@
  * @file
  * Multi-tenant campaign scheduler for the serve daemon.
  *
- * One Scheduler owns a worker TaskQueue and a map of jobs, one per
+ * One Scheduler owns a core::Executor and a map of jobs, one per
  * submitted campaign, each backed by a campaign::Execution — the
  * same machinery `varsim campaign run` uses, which is what makes a
  * served campaign's records bit-identical to the CLI's.
@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "campaign/exec.hh"
-#include "core/task_queue.hh"
+#include "core/executor.hh"
 #include "serve/schema.hh"
 
 namespace varsim
@@ -204,7 +204,6 @@ class Scheduler
     std::string tenantsDir() const { return cfg.root + "/tenants"; }
 
     SchedulerConfig cfg;
-    std::unique_ptr<core::TaskQueue> queue;
 
     mutable std::mutex mu;
     mutable std::condition_variable eventCv; ///< events/terminals
@@ -218,6 +217,10 @@ class Scheduler
     std::size_t executed = 0;
     bool draining = false;
     bool stopped = false; ///< stop() called; aborts drain() waits
+
+    /** Runs the tokens on at most cfg.workers threads. Last: its
+     *  workers use every member above. */
+    core::Executor executor;
 };
 
 } // namespace serve

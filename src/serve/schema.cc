@@ -1,5 +1,6 @@
 #include "serve/schema.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <utility>
 
@@ -12,6 +13,32 @@ namespace serve
 
 using sim::JsonLine;
 using sim::JsonWriter;
+
+namespace
+{
+
+/**
+ * Parse field @p key of @p obj whole into @p out, which keeps its
+ * value when the field is absent. A submission is untrusted input:
+ * "5abc" and "-1" are errors, not 5 and 2^64-1.
+ */
+template <typename T>
+bool
+parseField(const JsonLine &obj, const char *key, T &out)
+{
+    if (!obj.has(key))
+        return true;
+    const std::string text = obj.str(key);
+    const char *end = text.data() + text.size();
+    T v{};
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (text.empty() || ec != std::errc() || ptr != end)
+        return false;
+    out = v;
+    return true;
+}
+
+} // anonymous namespace
 
 bool
 validName(const std::string &s)
@@ -81,7 +108,14 @@ decodeSubmission(const JsonLine &obj, Submission &out,
         return false;
     };
 
-    const std::uint64_t schema = obj.num("schema");
+    auto badNumber = [&](const char *key) {
+        return fail(sim::format("field '%s' is not a number: '%s'",
+                                key, obj.str(key).c_str()));
+    };
+
+    std::uint64_t schema = 0;
+    if (!parseField(obj, "schema", schema))
+        return badNumber("schema");
     if (schema != static_cast<std::uint64_t>(kSchemaVersion))
         return fail(sim::format(
             "unsupported submission schema %llu (this daemon "
@@ -99,9 +133,9 @@ decodeSubmission(const JsonLine &obj, Submission &out,
         return fail("bad campaign name '" + out.name +
                     "' (want [A-Za-z0-9_.-]{1,64}, no leading "
                     "dot)");
-    out.priority =
-        static_cast<int>(std::strtol(obj.str("priority", "0")
-                                         .c_str(), nullptr, 10));
+    out.priority = 0;
+    if (!parseField(obj, "priority", out.priority))
+        return badNumber("priority");
     out.fingerprintHex = obj.str("fingerprint");
     if (out.fingerprintHex.empty())
         return fail("submission carries no spec fingerprint");
@@ -128,24 +162,31 @@ decodeSubmission(const JsonLine &obj, Submission &out,
     }
     f.vary = obj.list("vary");
     f.workload = obj.str("workload", f.workload);
-    f.workloadSeed = obj.num("wl_seed", f.workloadSeed);
-    f.threadsPerCpu = obj.num("tpc", f.threadsPerCpu);
-    f.warmupTxns = obj.num("warmup", f.warmupTxns);
-    f.measureTxns = obj.num("txns", f.measureTxns);
     f.sample = obj.str("sample", f.sample);
-    f.sampleOffsetSeed =
-        obj.num("sample_offset_seed", f.sampleOffsetSeed);
-    f.baseSeed = obj.num("seed", f.baseSeed);
-    f.numCheckpoints = obj.num("checkpoints", f.numCheckpoints);
-    f.checkpointStep = obj.num("ckpt_step", f.checkpointStep);
     f.strategy = obj.str("strategy", f.strategy);
-    f.fixedRuns = obj.num("fixed_runs", f.fixedRuns);
-    f.pilotRuns = obj.num("pilot_runs", f.pilotRuns);
-    f.maxRuns = obj.num("max_runs", f.maxRuns);
-    f.relativeError = obj.real("rel_err", f.relativeError);
-    f.alpha = obj.real("alpha", f.alpha);
-    f.confidence = obj.real("confidence", f.confidence);
-    f.budgetTxns = obj.num("budget", f.budgetTxns);
+    for (const auto &[key, dst] :
+         {std::pair{"wl_seed", &f.workloadSeed},
+          std::pair{"tpc", &f.threadsPerCpu},
+          std::pair{"warmup", &f.warmupTxns},
+          std::pair{"txns", &f.measureTxns},
+          std::pair{"sample_offset_seed", &f.sampleOffsetSeed},
+          std::pair{"seed", &f.baseSeed},
+          std::pair{"checkpoints", &f.numCheckpoints},
+          std::pair{"ckpt_step", &f.checkpointStep},
+          std::pair{"fixed_runs", &f.fixedRuns},
+          std::pair{"pilot_runs", &f.pilotRuns},
+          std::pair{"max_runs", &f.maxRuns},
+          std::pair{"budget", &f.budgetTxns}}) {
+        if (!parseField(obj, key, *dst))
+            return badNumber(key);
+    }
+    for (const auto &[key, dst] :
+         {std::pair{"rel_err", &f.relativeError},
+          std::pair{"alpha", &f.alpha},
+          std::pair{"confidence", &f.confidence}}) {
+        if (!parseField(obj, key, *dst))
+            return badNumber(key);
+    }
     out.fields = std::move(f);
     return true;
 }

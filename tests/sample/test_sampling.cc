@@ -372,4 +372,58 @@ TEST(WindowPlacement, SystematicPinsWindowsToPeriodEnds)
     EXPECT_EQ(a, expect);
 }
 
+// ---------------------------------------------------------------
+// Multi-run entry points
+// ---------------------------------------------------------------
+
+void
+expectSameRun(const core::RunResult &a, const core::RunResult &b,
+              std::size_t i)
+{
+    EXPECT_EQ(a.runtimeTicks, b.runtimeTicks) << "run " << i;
+    EXPECT_EQ(a.txns, b.txns) << "run " << i;
+    EXPECT_EQ(a.cyclesPerTxn, b.cyclesPerTxn) << "run " << i;
+    EXPECT_EQ(a.sampled.enabled, b.sampled.enabled) << "run " << i;
+    EXPECT_EQ(a.statsJsonl(), b.statsJsonl()) << "run " << i;
+}
+
+// sample::runMany / runManyFromCheckpoint are the seed loop over
+// sample::runOnce / runFromCheckpoint: run i is seed baseSeed + i,
+// in index order, sampled or not, however many host threads run it.
+TEST(SampledRunMany, MatchesPerSeedSingleRuns)
+{
+    const auto sys = goldenSys();
+    const auto wl = goldenWl(workload::WorkloadKind::Oltp);
+
+    core::Simulation warm(sys, wl);
+    warm.runTransactions(20);
+    const core::Checkpoint cp = warm.checkpoint();
+
+    core::ExperimentConfig exp;
+    exp.numRuns = 3;
+    exp.baseSeed = 20;
+    exp.hostThreads = 2;
+
+    core::RunConfig full;
+    full.warmupTxns = 5;
+    full.measureTxns = 60;
+    for (const core::RunConfig &rc :
+         {full, sampledRun("systematic:40:5:10", 120)}) {
+        const auto many = sample::runMany(sys, wl, rc, exp);
+        const auto fromCp =
+            sample::runManyFromCheckpoint(sys, wl, cp, rc, exp);
+        ASSERT_EQ(many.size(), exp.numRuns);
+        ASSERT_EQ(fromCp.size(), exp.numRuns);
+        for (std::size_t i = 0; i < exp.numRuns; ++i) {
+            core::RunConfig r = rc;
+            r.perturbSeed = exp.baseSeed + i;
+            expectSameRun(many[i], sample::runOnce(sys, wl, r), i);
+            expectSameRun(fromCp[i],
+                          sample::runFromCheckpoint(sys, wl, cp, r),
+                          i);
+        }
+        EXPECT_EQ(many[0].sampled.enabled, rc.sample.enabled());
+    }
+}
+
 } // anonymous namespace

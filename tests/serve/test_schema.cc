@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #include "campaign/knobs.hh"
@@ -150,6 +152,82 @@ TEST(ServeSchema, RetiredEngineFieldsDecodeOnlyAtTheirDefaults)
         ASSERT_TRUE(campaign::buildSpec(got.fields, received, &err));
         EXPECT_EQ(sent.fingerprint(), received.fingerprint());
     }
+}
+
+/** @p payload with the value of field @p key replaced by @p raw. */
+std::string
+withField(std::string payload, const std::string &key,
+          const std::string &raw)
+{
+    const std::string tag = "\"" + key + "\":";
+    const auto at = payload.find(tag);
+    EXPECT_NE(at, std::string::npos) << key;
+    const auto from = at + tag.size();
+    const auto to = payload[from] == '"'
+                        ? payload.find('"', from + 1) + 1
+                        : payload.find_first_of(",}", from);
+    return payload.replace(from, to - from, raw);
+}
+
+// A submission is untrusted input: a number must parse whole, so
+// "5abc" is not 5 and "-1" is not 2^64-1. The error names the field.
+TEST(ServeSchema, NumbersMustParseWhole)
+{
+    const std::string payload =
+        serve::encodeSubmission(sampleSubmission());
+    const std::pair<const char *, const char *> cases[] = {
+        {"warmup", "\"5abc\""},     {"checkpoints", "\"-1\""},
+        {"seed", "\"\""},           {"max_runs", "1e3"},
+        {"priority", "\"2x\""},     {"rel_err", "\"0.05%\""},
+        {"schema", "\"1x\""},
+    };
+    for (const auto &[field, raw] : cases) {
+        SCOPED_TRACE(std::string(field) + "=" + raw);
+        sim::JsonLine obj;
+        ASSERT_TRUE(obj.parse(withField(payload, field, raw)));
+        serve::Submission got;
+        std::string err;
+        EXPECT_FALSE(serve::decodeSubmission(obj, got, &err));
+        EXPECT_NE(err.find(std::string("'") + field + "'"),
+                  std::string::npos)
+            << err;
+    }
+
+    // Well-formed numbers still decode, quoted or bare.
+    sim::JsonLine obj;
+    ASSERT_TRUE(obj.parse(withField(payload, "warmup", "\"12\"")));
+    serve::Submission got;
+    std::string err;
+    ASSERT_TRUE(serve::decodeSubmission(obj, got, &err)) << err;
+    EXPECT_EQ(got.fields.warmupTxns, 12u);
+    EXPECT_EQ(got.priority, -3);
+}
+
+// Counts that parse but would size a campaign without bound are
+// refused by buildSpec, which the CLI and the daemon share.
+TEST(ServeSchema, CampaignSizeLimitsAreEnforced)
+{
+    const campaign::SpecFields base = sampleSubmission().fields;
+    campaign::CampaignSpec spec;
+    std::string err;
+
+    campaign::SpecFields f = base;
+    f.numCheckpoints = campaign::kMaxCheckpoints;
+    EXPECT_TRUE(campaign::buildSpec(f, spec, &err)) << err;
+    f.numCheckpoints = campaign::kMaxCheckpoints + 1;
+    EXPECT_FALSE(campaign::buildSpec(f, spec, &err));
+    EXPECT_NE(err.find("checkpoints"), std::string::npos) << err;
+
+    f = base;
+    f.fixedRuns = 0;
+    f.maxRuns = campaign::kMaxRunsPerGroup + 1;
+    EXPECT_FALSE(campaign::buildSpec(f, spec, &err));
+    EXPECT_NE(err.find("max runs"), std::string::npos) << err;
+
+    f = base;
+    f.fixedRuns = UINT64_MAX;
+    EXPECT_FALSE(campaign::buildSpec(f, spec, &err));
+    EXPECT_NE(err.find("fixed runs"), std::string::npos) << err;
 }
 
 TEST(ServeSchema, NamesAreValidatedAsPathComponents)

@@ -4,9 +4,9 @@
 # share state across host threads with ThreadSanitizer and run them. A
 # clean pass means the suite is free of heap errors, leaks-at-exit in
 # test paths, UB that the instrumented build can detect, and data races
-# in the host thread pool, the task queue, the process-wide pools and
-# the serve daemon — run this before merging changes that touch memory
-# handling or concurrency.
+# in the executor, the process-wide pools and the serve daemon — run
+# this before merging changes that touch memory handling or
+# concurrency.
 #
 # Usage: tools/run_tier1_sanitized.sh [build-dir] [tsan-build-dir]
 #   build-dir defaults to build-san, tsan-build-dir to build-tsan
@@ -31,8 +31,8 @@ cmake --build "$build" -j "$jobs"
 # statistics paths — the histogram NaN/inf regression in test_stats
 # only proves anything under UBSan — the sampling engine, and the
 # coherence fabrics) are actually present.
-for t in test_sim test_stats test_core test_campaign test_ckpt \
-         test_sample test_mem; do
+for t in test_sim test_stats test_core test_executor test_campaign \
+         test_ckpt test_sample test_mem; do
     [ -x "$build/tests/$t" ] || {
         echo "error: $build/tests/$t was not built" >&2
         exit 1
@@ -158,9 +158,10 @@ echo "tier-1 suite clean under address,undefined sanitizers;" \
 # ---- ThreadSanitizer flavor: the in-process concurrency gate ----
 # TSan is incompatible with ASan, so it gets its own tree. A
 # simulation is single-threaded; what runs concurrently is separate
-# runs and what they share. So the suites run here are the host
-# thread pool and the task queue that spread runs over host threads,
-# and the process-wide pools every run draws from: the tag-arena pool
+# runs and what they share. So the suites run here are the executor
+# that spreads runs over host threads (batches, nested and
+# concurrent batches, posted tasks), and the process-wide pools
+# every run draws from: the tag-arena pool
 # (4 threads building 8- and 16-node memory systems) and the Zipf
 # table registry (4 threads sharing one table).
 cmake -S "$repo" -B "$tsan_build" \
@@ -170,9 +171,10 @@ cmake -S "$repo" -B "$tsan_build" \
 # bare name is the header-only INTERFACE library, which Makefile
 # generators have no build rule for.
 cmake --build "$tsan_build" -j "$jobs" \
-    --target test_sim test_mem test_core test_serve varsim_cli
+    --target test_sim test_mem test_core test_executor test_serve \
+    varsim_cli
 
-for t in test_sim test_mem test_core test_serve; do
+for t in test_sim test_mem test_core test_executor test_serve; do
     [ -x "$tsan_build/tests/$t" ] || {
         echo "error: $tsan_build/tests/$t was not built" >&2
         exit 1
@@ -181,9 +183,9 @@ done
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir "$tsan_build" --output-on-failure -j "$jobs" \
-    -R 'HostThreadPool|TaskQueue|TagArena|ZipfSampler'
+    -R 'Executor|TagArena|ZipfSampler'
 
-echo "host thread pool, task queue, tag-arena pool and Zipf registry" \
+echo "executor, tag-arena pool and Zipf registry" \
     "clean under thread sanitizer"
 
 # ---- Service soak: the serve daemon's data-race + crash gate ----

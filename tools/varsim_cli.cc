@@ -356,7 +356,8 @@ acceptedFlags(const std::string &cmd, const std::string &action)
             ab.push_back(k + "-a");
             ab.push_back(k + "-b");
         }
-        return join({ab, kWorkloadFlags, kRunFlags,
+        // runManyBatch runs full detail: no --sample here.
+        return join({ab, kWorkloadFlags, {"warmup", "txns"},
                      {"runs", "seed", "host-threads"}});
     }
     if (cmd == "anova")
