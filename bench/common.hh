@@ -53,15 +53,20 @@ scaleTxns(std::uint64_t full)
     return s < 10 ? (full < 10 ? full : 10) : s;
 }
 
-/** Print the standard experiment banner. */
+/**
+ * Print the standard experiment banner. A binary that runs at full
+ * size whatever VARSIM_QUICK says passes @p scales = false, and the
+ * banner then does not claim a scaled-down run.
+ */
 inline void
-banner(const char *id, const char *title, const char *paper_says)
+banner(const char *id, const char *title, const char *paper_says,
+       bool scales = true)
 {
     std::printf("=============================================="
                 "==============================\n");
     std::printf("%s: %s\n", id, title);
     std::printf("paper: %s\n", paper_says);
-    if (quick())
+    if (scales && quick())
         std::printf("(VARSIM_QUICK: scaled-down run)\n");
     std::printf("----------------------------------------------"
                 "------------------------------\n");

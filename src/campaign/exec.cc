@@ -7,7 +7,6 @@
 #include "core/analysis.hh"
 #include "core/experiment.hh"
 #include "core/simulation.hh"
-#include "sample/runner.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
@@ -70,6 +69,10 @@ planTheBudget(const CampaignSpec &spec, ResultStore &store,
     for (std::size_t li = 0; li < lengths.size(); ++li) {
         core::RunConfig rc = spec.run;
         rc.measureTxns = lengths[li];
+        // Pilots run in full detail even for a sampled spec:
+        // planBudget models how the between-run CoV falls with run
+        // length, and window-placement error would blur that fit.
+        rc.sample = {};
         core::ExperimentConfig exp;
         exp.numRuns = spec.stop.pilotRuns;
         exp.baseSeed = spec.groupSeed(spec.numGroups() + li, 0);
@@ -439,16 +442,13 @@ Execution::runCell(const Cell &cell)
     core::RunConfig rc = eff.run;
     rc.perturbSeed = eff.groupSeed(cell.group, cell.runIdx);
 
-    // The sample:: runners fall straight through to core:: when the
-    // spec leaves sampling off.
     core::RunResult res;
     if (eff.numCheckpoints) {
         rc.warmupTxns = 0; // the checkpoint warmed up
-        res = sample::runFromCheckpoint(eff.configs[cfg].sys,
-                                        eff.wl,
-                                        warmer->get(cfg, ck), rc);
+        res = core::runFromCheckpoint(eff.configs[cfg].sys, eff.wl,
+                                      warmer->get(cfg, ck), rc);
     } else {
-        res = sample::runOnce(eff.configs[cfg].sys, eff.wl, rc);
+        res = core::runOnce(eff.configs[cfg].sys, eff.wl, rc);
     }
 
     RunRecord rec;

@@ -1,7 +1,7 @@
 /**
  * @file
  * The host-side executor behind every multi-run path: runMany*,
- * sample::runMany*, campaign rounds and the serve daemon.
+ * campaign rounds and the serve daemon.
  *
  * Separate simulations are the only parallel axis (the paper's
  * "coarse-grain parallelism", Section 5): one simulation is always

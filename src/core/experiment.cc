@@ -1,6 +1,7 @@
 #include "core/experiment.hh"
 
 #include <algorithm>
+#include <functional>
 #include <string>
 
 #include "core/executor.hh"
@@ -24,6 +25,29 @@ seededRun(const RunConfig &run, const ExperimentConfig &exp,
     return r;
 }
 
+/**
+ * The seed loop under runMany and runManyFromCheckpoint: validate
+ * @p exp, then call @p runOne with @p run under seed baseSeed + i for
+ * each run i, spread over exp.hostThreads threads of the shared
+ * executor. Results are ordered by run index regardless of host
+ * scheduling; the first exception a run throws is rethrown here.
+ */
+std::vector<RunResult>
+runEachSeed(const RunConfig &run, const ExperimentConfig &exp,
+            const std::function<RunResult(const RunConfig &)> &runOne)
+{
+    exp.validate();
+    std::vector<RunResult> results(exp.numRuns);
+    Executor::shared().parallelFor(
+        exp.numRuns, exp.hostThreads, [&](std::size_t i) {
+            // Runs execute concurrently on host threads; the scope
+            // gives every DPRINTF line this run emits a run identity.
+            sim::trace::RunScope scope(sim::format("r%zu", i));
+            results[i] = runOne(seededRun(run, exp, i));
+        });
+    return results;
+}
+
 } // anonymous namespace
 
 void
@@ -40,22 +64,6 @@ ExperimentConfig::validate() const
                    "around 2^64; lower baseSeed or numRuns",
                    static_cast<unsigned long long>(baseSeed),
                    numRuns);
-}
-
-std::vector<RunResult>
-runEachSeed(const RunConfig &run, const ExperimentConfig &exp,
-            const std::function<RunResult(const RunConfig &)> &runOne)
-{
-    exp.validate();
-    std::vector<RunResult> results(exp.numRuns);
-    Executor::shared().parallelFor(
-        exp.numRuns, exp.hostThreads, [&](std::size_t i) {
-            // Runs execute concurrently on host threads; the scope
-            // gives every DPRINTF line this run emits a run identity.
-            sim::trace::RunScope scope(sim::format("r%zu", i));
-            results[i] = runOne(seededRun(run, exp, i));
-        });
-    return results;
 }
 
 std::vector<RunResult>

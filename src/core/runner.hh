@@ -9,7 +9,8 @@
  *
  * (one tick = one cycle at the 1 GHz target clock), matching the
  * paper's use of "cycles per transaction" as the performance metric
- * for all workloads.
+ * for all workloads. A run with RunConfig::sample enabled measures
+ * windows of the measure phase instead and reports their estimate.
  */
 
 #ifndef VARSIM_CORE_RUNNER_HH
@@ -47,8 +48,10 @@ struct RunConfig
 
     /**
      * Intra-run statistical sampling (default: off, full detail).
-     * When enabled, drive the measure phase through
-     * sample::measure() — core::measure() ignores this field.
+     * When enabled, measure() drives the measure phase through a
+     * SamplingController, fills RunResult::sampled and reports the
+     * sampled estimate as cyclesPerTxn; windowTxns is then ignored.
+     * The warm-up before it always runs in full detail.
      */
     SampleConfig sample;
 };
@@ -130,7 +133,8 @@ RunResult runFromCheckpoint(const SystemConfig &sys,
 
 /**
  * Measure an already-constructed simulation (advanced use: callers
- * that warmed up or checkpointed by hand).
+ * that warmed up or checkpointed by hand). The one measure path:
+ * runOnce(), runFromCheckpoint() and every runMany* call it.
  */
 RunResult measure(Simulation &simn, const RunConfig &run,
                   std::size_t num_cpus);

@@ -6,9 +6,10 @@
  * measured windows yield confidence-bounded estimates of the
  * full-detail metrics.
  *
- * Pure data — the controller machinery lives in src/sample. Kept in
- * core so RunConfig/RunResult can embed these types without a
- * dependency cycle (campaign -> sample -> core).
+ * Pure data: core::SamplingController (core/sampling.hh) runs the
+ * design, and core::measure drives it whenever RunConfig::sample is
+ * enabled. Apart from the controller so that RunConfig and RunResult
+ * can embed these types without pulling it in.
  */
 
 #ifndef VARSIM_CORE_SAMPLE_CONFIG_HH

@@ -1,4 +1,4 @@
-#include "sample/controller.hh"
+#include "core/sampling.hh"
 
 #include <algorithm>
 #include <span>
@@ -8,7 +8,7 @@
 
 namespace varsim
 {
-namespace sample
+namespace core
 {
 
 namespace
@@ -21,10 +21,9 @@ namespace
  * being compared, so placement noise cancels in the pair).
  */
 std::uint64_t
-offsetStreamSeed(const core::SampleConfig &cfg,
-                 std::uint64_t perturb_seed)
+offsetStreamSeed(const SampleConfig &cfg, std::uint64_t perturb_seed)
 {
-    using Design = core::SampleConfig::Design;
+    using Design = SampleConfig::Design;
     if (cfg.design == Design::Stratified)
         return cfg.offsetSeed ^
                (perturb_seed * 0x9e3779b97f4a7c15ULL);
@@ -33,8 +32,8 @@ offsetStreamSeed(const core::SampleConfig &cfg,
 
 } // anonymous namespace
 
-SamplingController::SamplingController(core::Simulation &simn,
-                                       const core::SampleConfig &cfg,
+SamplingController::SamplingController(Simulation &simn,
+                                       const SampleConfig &cfg,
                                        std::uint64_t perturb_seed)
     : simn_(simn), cfg_(cfg),
       offsetRng_(offsetStreamSeed(cfg, perturb_seed))
@@ -44,12 +43,6 @@ SamplingController::SamplingController(core::Simulation &simn,
     VARSIM_ASSERT(cfg_.warmupTxns + cfg_.measureTxns <=
                       cfg_.periodTxns,
                   "sampling W+M exceeds the period U");
-}
-
-void
-SamplingController::setCheckpointSink(CheckpointSink sink)
-{
-    sink_ = std::move(sink);
 }
 
 SamplingController::Snapshot
@@ -70,7 +63,7 @@ SamplingController::runTxns(std::uint64_t n)
 {
     if (n == 0 || ended_)
         return 0;
-    const core::Simulation::Progress p = simn_.runTransactions(n);
+    const Simulation::Progress p = simn_.runTransactions(n);
     if (p.workloadEnded)
         ended_ = true;
     return p.txns;
@@ -108,8 +101,6 @@ SamplingController::measureWindow(std::uint64_t n)
     record(a, b);
     st_.measuredTxns += b.txns - a.txns;
     ++st_.windows;
-    if (sink_)
-        sink_(st_.windows - 1, simn_.checkpoint());
 }
 
 void
@@ -118,6 +109,7 @@ SamplingController::record(const Snapshot &a, const Snapshot &b)
     const double dTxns = static_cast<double>(b.txns - a.txns);
     const double dTicks = static_cast<double>(b.ticks - a.ticks);
     const double cpus = static_cast<double>(simn_.numCpus());
+    endTxns_.push_back(b.txns);
     cpt_.push_back(dTicks * cpus / dTxns);
     ipc_.push_back(
         dTicks > 0.0
@@ -135,7 +127,7 @@ SamplingController::record(const Snapshot &a, const Snapshot &b)
 std::uint64_t
 SamplingController::chooseOffset(std::uint64_t slack)
 {
-    using Design = core::SampleConfig::Design;
+    using Design = SampleConfig::Design;
     if (slack == 0 || cfg_.design == Design::Systematic)
         return slack; // window at the unit's end, fixed phase
     return offsetRng_.uniformInt(0, slack);
@@ -178,15 +170,16 @@ SamplingController::finishEstimates(const Snapshot &runStart)
     fill(miss_, st_.l2MissMean, st_.l2MissLo, st_.l2MissHi);
 }
 
-core::SampledStats
+SampledStats
 SamplingController::run(std::uint64_t total_txns)
 {
-    st_ = core::SampledStats{};
+    st_ = SampledStats{};
     st_.enabled = true;
     st_.confidence = cfg_.confidence;
     cpt_.clear();
     ipc_.clear();
     miss_.clear();
+    endTxns_.clear();
     ended_ = false;
 
     const Snapshot runStart = snap();
@@ -235,5 +228,5 @@ SamplingController::run(std::uint64_t total_txns)
     return st_;
 }
 
-} // namespace sample
+} // namespace core
 } // namespace varsim

@@ -30,10 +30,9 @@
  *    and SampledStats::fullDetailFallback says so.
  */
 
-#ifndef VARSIM_SAMPLE_CONTROLLER_HH
-#define VARSIM_SAMPLE_CONTROLLER_HH
+#ifndef VARSIM_CORE_SAMPLING_HH
+#define VARSIM_CORE_SAMPLING_HH
 
-#include <functional>
 #include <vector>
 
 #include "core/simulation.hh"
@@ -41,7 +40,7 @@
 
 namespace varsim
 {
-namespace sample
+namespace core
 {
 
 class SamplingController
@@ -52,21 +51,8 @@ class SamplingController
      *        the stratified design's offset stream (and ignored by
      *        the matched-pair design, by construction).
      */
-    SamplingController(core::Simulation &simn,
-                       const core::SampleConfig &cfg,
+    SamplingController(Simulation &simn, const SampleConfig &cfg,
                        std::uint64_t perturb_seed);
-
-    /**
-     * Publish hook called after each measurement window with the
-     * 0-based window index and a full checkpoint taken at the
-     * window's end boundary (the system is quiescent there anyway —
-     * the mode switch drained it — so snapshots are nearly free).
-     */
-    using CheckpointSink =
-        std::function<void(std::uint64_t window,
-                           const core::Checkpoint &cp)>;
-
-    void setCheckpointSink(CheckpointSink sink);
 
     /**
      * Drive the simulation until @p total_txns more transactions
@@ -75,7 +61,7 @@ class SamplingController
      * metrics export the estimates) and returns them. The
      * simulation is left in detailed mode.
      */
-    core::SampledStats run(std::uint64_t total_txns);
+    SampledStats run(std::uint64_t total_txns);
 
     /** True if the workload ended during run(). */
     bool workloadEnded() const { return ended_; }
@@ -84,6 +70,11 @@ class SamplingController
     const std::vector<double> &windowCpt() const { return cpt_; }
     const std::vector<double> &windowIpc() const { return ipc_; }
     const std::vector<double> &windowL2Miss() const { return miss_; }
+    /** Simulation::totalTxns() at the end of each window. */
+    const std::vector<std::uint64_t> &windowEndTxns() const
+    {
+        return endTxns_;
+    }
 
   private:
     /** Cumulative counters a window is a difference of. */
@@ -114,16 +105,16 @@ class SamplingController
     /** Reduce the window series to the reported estimates. */
     void finishEstimates(const Snapshot &runStart);
 
-    core::Simulation &simn_;
-    core::SampleConfig cfg_;
+    Simulation &simn_;
+    SampleConfig cfg_;
     sim::Random offsetRng_;
-    CheckpointSink sink_;
     bool ended_ = false;
     std::vector<double> cpt_, ipc_, miss_;
-    core::SampledStats st_;
+    std::vector<std::uint64_t> endTxns_;
+    SampledStats st_;
 };
 
-} // namespace sample
+} // namespace core
 } // namespace varsim
 
-#endif // VARSIM_SAMPLE_CONTROLLER_HH
+#endif // VARSIM_CORE_SAMPLING_HH

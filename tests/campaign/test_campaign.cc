@@ -257,6 +257,35 @@ TEST(Campaign, StatusReflectsTheStore)
     EXPECT_NE(st.header.fingerprint, 0u);
 }
 
+// Budget pilots run in full detail, so a sampled spec is planned
+// like its unsampled twin. The longest pilot, 2400 / 4 / 6 pilot
+// runs = 100 txns, spans more than one 40-txn sampling period: a
+// sampled pilot would measure fewer txns in detail and fit another
+// plan.
+TEST(Campaign, BudgetPilotsOfASampledSpecRunFullDetail)
+{
+    campaign::CampaignSpec full = smallSpec();
+    full.budgetTxns = 2400;
+    campaign::CampaignSpec sampled = full;
+    ASSERT_TRUE(core::SampleConfig::parse("systematic:40:5:10",
+                                          sampled.run.sample));
+
+    // The plan is written before the first run; one run is enough.
+    campaign::CampaignOptions opt;
+    opt.interruptAfter = 1;
+    const std::string fullDir = freshDir("budget_full");
+    const std::string sampledDir = freshDir("budget_sampled");
+    campaign::runCampaign(full, fullDir, opt);
+    campaign::runCampaign(sampled, sampledDir, opt);
+
+    const auto a = campaign::campaignStatus(fullDir).plan;
+    const auto b = campaign::campaignStatus(sampledDir).plan;
+    ASSERT_TRUE(a.valid);
+    ASSERT_TRUE(b.valid);
+    EXPECT_EQ(a.runLength, b.runLength);
+    EXPECT_EQ(a.numRuns, b.numRuns);
+}
+
 TEST(CampaignKnobs, CpusAcceptsOnlyOneToSixtyFour)
 {
     for (const char *good : {"1", "16", "64"}) {

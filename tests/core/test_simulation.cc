@@ -18,7 +18,6 @@
 
 #include "core/varsim.hh"
 #include "mem/tag_arena.hh"
-#include "sample/runner.hh"
 
 namespace varsim
 {
@@ -99,7 +98,7 @@ TEST(TagArenaReuse, RunsHandTheirArenaBackZero)
     sampled.measureTxns = 200;
     ASSERT_TRUE(SampleConfig::parse("systematic:100:10:20",
                                     sampled.sample));
-    sample::runOnce(sys, smallOltp(), sampled);
+    core::runOnce(sys, smallOltp(), sampled);
     expectZeroArena("sampled run");
 
     Simulation warm(sys, smallOltp());

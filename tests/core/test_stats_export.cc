@@ -13,7 +13,6 @@
 #include <cmath>
 
 #include "core/varsim.hh"
-#include "sample/runner.hh"
 #include "sim/jsonl.hh"
 
 namespace
@@ -195,11 +194,11 @@ TEST(StatsExport, EveryRunnerTimesConstruction)
     sampled.measureTxns = 200;
     ASSERT_TRUE(core::SampleConfig::parse("systematic:100:10:20",
                                           sampled.sample));
-    const auto s = sample::runOnce(sys, wl, sampled);
+    const auto s = core::runOnce(sys, wl, sampled);
     ASSERT_TRUE(s.sampled.enabled);
     EXPECT_GT(s.host.constructWallSec, 0.0);
     EXPECT_GT(s.host.measureWallSec, 0.0);
-    const auto sr = sample::runFromCheckpoint(sys, wl, cp, sampled);
+    const auto sr = core::runFromCheckpoint(sys, wl, cp, sampled);
     EXPECT_GT(sr.host.constructWallSec, 0.0);
 
     // measure() on a ready-made simulation has nothing to time.

@@ -4,13 +4,17 @@
  * the drop-in (disabled) guarantee against the legacy golden pins,
  * the controller's edge rules (runs shorter than one period,
  * workloads that outrun the budget), window-placement semantics of
- * the three designs, and run-to-run determinism of sampled results.
+ * the three designs, run-to-run determinism of sampled results, and
+ * bitwise pins of whole sampled results.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
+#include "core/sampling.hh"
 #include "core/varsim.hh"
-#include "sample/runner.hh"
 
 namespace
 {
@@ -114,7 +118,7 @@ TEST(SampledDisabledGolden, MatchesLegacyPinsIncludingTrace)
     ASSERT_FALSE(rc.sample.enabled()); // default design: Off
 
     const core::RunResult r =
-        sample::measure(simn, rc, sys.numCpus());
+        core::measure(simn, rc, sys.numCpus());
 
     EXPECT_EQ(r.runtimeTicks, 186781u);
     EXPECT_EQ(r.txns, 40u);
@@ -154,7 +158,7 @@ TEST(SampledRun, IntervalAccountingAndRegistryExport)
     const auto sys = goldenSys();
     const auto wl = goldenWl(workload::WorkloadKind::Oltp);
     const auto rc = sampledRun("systematic:100:15:25", 400);
-    const core::RunResult r = sample::runOnce(sys, wl, rc);
+    const core::RunResult r = core::runOnce(sys, wl, rc);
 
     EXPECT_TRUE(r.sampled.enabled);
     EXPECT_EQ(r.sampled.periods, 4u);
@@ -199,8 +203,8 @@ TEST(SampledRun, DeterministicAcrossRepeats)
     const auto wl = goldenWl(workload::WorkloadKind::Oltp);
     const auto rc = sampledRun("stratified:100:15:25", 300);
 
-    const core::RunResult a = sample::runOnce(sys, wl, rc);
-    const core::RunResult b = sample::runOnce(sys, wl, rc);
+    const core::RunResult a = core::runOnce(sys, wl, rc);
+    const core::RunResult b = core::runOnce(sys, wl, rc);
 
     EXPECT_EQ(a.runtimeTicks, b.runtimeTicks);
     EXPECT_EQ(a.txns, b.txns);
@@ -219,7 +223,7 @@ TEST(SampledRun, ShorterThanOneWindowFallsBackToFullDetail)
     const auto sys = goldenSys();
     const auto wl = goldenWl(workload::WorkloadKind::Oltp);
     const auto rc = sampledRun("systematic:100:10:20", 15);
-    const core::RunResult r = sample::runOnce(sys, wl, rc);
+    const core::RunResult r = core::runOnce(sys, wl, rc);
 
     EXPECT_TRUE(r.sampled.fullDetailFallback);
     EXPECT_EQ(r.sampled.windows, 1u);
@@ -241,7 +245,7 @@ TEST(SampledRun, ShortRemainderFastForwardsAfterFirstWindow)
     const auto sys = goldenSys();
     const auto wl = goldenWl(workload::WorkloadKind::Oltp);
     const auto rc = sampledRun("systematic:100:20:30", 130);
-    const core::RunResult r = sample::runOnce(sys, wl, rc);
+    const core::RunResult r = core::runOnce(sys, wl, rc);
 
     EXPECT_FALSE(r.sampled.fullDetailFallback);
     EXPECT_EQ(r.sampled.periods, 1u);
@@ -266,7 +270,7 @@ TEST(SampledRun, ScientificWorkloadYieldsExactFallback)
     rc.perturbSeed = 11;
     EXPECT_TRUE(
         core::SampleConfig::parse("systematic:100:10:20", rc.sample));
-    const core::RunResult r = sample::runOnce(sys, wl, rc);
+    const core::RunResult r = core::runOnce(sys, wl, rc);
 
     // The 1-txn budget is met at the TxnEnd itself (before the
     // trailing End op), so this is the short-run fallback, not the
@@ -300,12 +304,96 @@ TEST(SampledRun, WorkloadOutrunsBudgetDuringFastForward)
     rc.perturbSeed = 11;
     EXPECT_TRUE(
         core::SampleConfig::parse("systematic:100:10:20", rc.sample));
-    const core::RunResult r = sample::runOnce(sys, wl, rc);
+    const core::RunResult r = core::runOnce(sys, wl, rc);
 
     EXPECT_TRUE(r.workloadEnded);
     EXPECT_TRUE(r.sampled.fullDetailFallback);
     EXPECT_EQ(r.sampled.windows, 1u);
     EXPECT_GT(r.sampled.cptMean, 0.0);
+}
+
+// ---------------------------------------------------------------
+// Sampled golden pins: whole sampled results, bit for bit, through
+// both entry points on two designs. Recorded when sampled runs went
+// through their own runner, before the one measure path.
+// ---------------------------------------------------------------
+
+/** FNV-1a over the bytes of @p s. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** FNV-1a over every field of @p s, doubles by their bits. */
+std::uint64_t
+sampledDigest(const core::SampledStats &s)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::uint64_t v :
+         {std::uint64_t{s.enabled}, s.periods, s.windows, s.fastTxns,
+          s.warmTxns, s.measuredTxns,
+          std::uint64_t{s.fullDetailFallback}})
+        h = fnv1a(h, v);
+    for (double v : {s.confidence, s.cptMean, s.cptLo, s.cptHi,
+                     s.ipcMean, s.ipcLo, s.ipcHi, s.l2MissMean,
+                     s.l2MissLo, s.l2MissHi})
+        h = fnv1a(h, std::bit_cast<std::uint64_t>(v));
+    return h;
+}
+
+struct SampledPin
+{
+    const char *spec;
+    bool fromCheckpoint;
+    double cyclesPerTxn;
+    sim::Tick runtimeTicks;
+    std::uint64_t txns;
+    std::uint64_t sampled; ///< sampledDigest(RunResult::sampled)
+    std::uint64_t stats;   ///< fnv1a(RunResult::statsJsonl())
+};
+
+TEST(SampledGolden, RunOnceAndFromCheckpointMatchPins)
+{
+    const SampledPin pins[] = {
+        {"systematic:100:15:25", false, 17041.386666666665, 1262939u,
+         300u, 6961472068034044659ull, 3407836920247429209ull},
+        {"systematic:100:15:25", true, 15399.466666666667, 1243206u,
+         300u, 2860062952317605920ull, 4226475591197195014ull},
+        {"stratified:100:15:25", false, 16424.799999999999, 1251798u,
+         300u, 3228692755185570594ull, 12070382110031488404ull},
+        {"stratified:100:15:25", true, 15752.800000000001, 1258972u,
+         300u, 18041174640641270296ull, 16210334030191588ull},
+    };
+
+    const auto sys = goldenSys();
+    const auto wl = goldenWl(workload::WorkloadKind::Oltp);
+    core::Simulation warm(sys, wl);
+    warm.runTransactions(20);
+    const core::Checkpoint cp = warm.checkpoint();
+
+    for (const SampledPin &pin : pins) {
+        SCOPED_TRACE(std::string(pin.spec) +
+                     (pin.fromCheckpoint ? " from checkpoint" : ""));
+        core::RunConfig rc = sampledRun(pin.spec, 300);
+        core::RunResult r;
+        if (pin.fromCheckpoint) {
+            rc.warmupTxns = 0;
+            r = core::runFromCheckpoint(sys, wl, cp, rc);
+        } else {
+            r = core::runOnce(sys, wl, rc);
+        }
+        EXPECT_EQ(r.cyclesPerTxn, pin.cyclesPerTxn);
+        EXPECT_EQ(r.runtimeTicks, pin.runtimeTicks);
+        EXPECT_EQ(r.txns, pin.txns);
+        EXPECT_EQ(sampledDigest(r.sampled), pin.sampled);
+        EXPECT_EQ(fnv1a(r.statsJsonl()), pin.stats);
+    }
 }
 
 // ---------------------------------------------------------------
@@ -329,14 +417,9 @@ windowPositions(core::SampleConfig::Design design,
     cfg.warmupTxns = 10;
     cfg.measureTxns = 20;
 
-    sample::SamplingController ctl(simn, cfg, perturb_seed);
-    std::vector<std::uint64_t> pos;
-    ctl.setCheckpointSink(
-        [&](std::uint64_t, const core::Checkpoint &) {
-            pos.push_back(simn.totalTxns());
-        });
+    core::SamplingController ctl(simn, cfg, perturb_seed);
     ctl.run(400);
-    return pos;
+    return ctl.windowEndTxns();
 }
 
 TEST(WindowPlacement, MatchedPairAlignsAcrossSeeds)
@@ -387,8 +470,8 @@ expectSameRun(const core::RunResult &a, const core::RunResult &b,
     EXPECT_EQ(a.statsJsonl(), b.statsJsonl()) << "run " << i;
 }
 
-// sample::runMany / runManyFromCheckpoint are the seed loop over
-// sample::runOnce / runFromCheckpoint: run i is seed baseSeed + i,
+// core::runMany / runManyFromCheckpoint are the seed loop over
+// core::runOnce / runFromCheckpoint: run i is seed baseSeed + i,
 // in index order, sampled or not, however many host threads run it.
 TEST(SampledRunMany, MatchesPerSeedSingleRuns)
 {
@@ -409,17 +492,17 @@ TEST(SampledRunMany, MatchesPerSeedSingleRuns)
     full.measureTxns = 60;
     for (const core::RunConfig &rc :
          {full, sampledRun("systematic:40:5:10", 120)}) {
-        const auto many = sample::runMany(sys, wl, rc, exp);
+        const auto many = core::runMany(sys, wl, rc, exp);
         const auto fromCp =
-            sample::runManyFromCheckpoint(sys, wl, cp, rc, exp);
+            core::runManyFromCheckpoint(sys, wl, cp, rc, exp);
         ASSERT_EQ(many.size(), exp.numRuns);
         ASSERT_EQ(fromCp.size(), exp.numRuns);
         for (std::size_t i = 0; i < exp.numRuns; ++i) {
             core::RunConfig r = rc;
             r.perturbSeed = exp.baseSeed + i;
-            expectSameRun(many[i], sample::runOnce(sys, wl, r), i);
+            expectSameRun(many[i], core::runOnce(sys, wl, r), i);
             expectSameRun(fromCp[i],
-                          sample::runFromCheckpoint(sys, wl, cp, r),
+                          core::runFromCheckpoint(sys, wl, cp, r),
                           i);
         }
         EXPECT_EQ(many[0].sampled.enabled, rc.sample.enabled());

@@ -172,7 +172,6 @@
 #include "campaign/knobs.hh"
 #include "ckpt/library.hh"
 #include "core/varsim.hh"
-#include "sample/runner.hh"
 #include "serve/client.hh"
 #include "serve/daemon.hh"
 
@@ -356,7 +355,7 @@ acceptedFlags(const std::string &cmd, const std::string &action)
             ab.push_back(k + "-a");
             ab.push_back(k + "-b");
         }
-        // runManyBatch runs full detail: no --sample here.
+        // Full detail only: compare takes no --sample.
         return join({ab, kWorkloadFlags, {"warmup", "txns"},
                      {"runs", "seed", "host-threads"}});
     }
@@ -508,7 +507,7 @@ cmdRun(const Args &args)
                 workload::kindName(wl.kind), sys.numCpus());
     if (rc.sample.enabled())
         std::printf("sampling: %s\n", rc.sample.toString().c_str());
-    const auto results = sample::runMany(sys, wl, rc, exp);
+    const auto results = core::runMany(sys, wl, rc, exp);
     for (std::size_t i = 0; i < results.size(); ++i) {
         std::printf("  run %2zu: %10.0f cycles/txn  (%llu txns)\n",
                     i, results[i].cyclesPerTxn,
